@@ -1,6 +1,6 @@
 # Convenience targets for the Viper reproduction.
 
-.PHONY: install test lint chaos bench bench-delta bench-overload examples experiments clean
+.PHONY: install test lint chaos bench bench-delta bench-overload bench-e2e examples experiments clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -33,6 +33,13 @@ bench-delta:
 # shed-rate / broker-memory gates.
 bench-overload:
 	PYTHONPATH=src python -m pytest -x -q -s benchmarks/test_perf_overload.py
+
+# The repository's benchmark (BENCHMARK.json): all five workloads through
+# the real Viper -> ViperConsumer -> InferenceServer path, ~100 s.  Compare
+# two result files with benchmarks/e2e/compare.py.
+#   make bench-e2e SEED=3
+bench-e2e:
+	python3 benchmarks/e2e/run.py --seed $(SEED) --out benchmarks/results/BENCH_e2e.json
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; python $$ex || exit 1; done

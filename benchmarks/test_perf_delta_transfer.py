@@ -13,7 +13,13 @@ Two questions, answered with real bytes and the simulated timing law:
    (the fallback must not regress the worst case).
 
 Wall-clock encode/decode throughput is reported (not gated) so a codec
-or digest regression shows up in the JSON history.
+or digest regression shows up in the JSON history: ``encode_mbps`` /
+``decode_mbps`` time the bare ``encode_frame`` / ``decode_frame`` calls,
+which know nothing about their inputs and hash every byte;
+``manager_encode_mbps`` / ``manager_decode_mbps`` time the third update
+of a chain through ``DeltaManager`` — the path ``Viper.save_weights`` /
+``load_weights`` take — where digests and CRCs computed or verified for
+the previous version are carried instead of recomputed.
 
 Outputs ``benchmarks/results/BENCH_delta.json``.  ``VIPER_PERF_QUICK=1``
 shrinks the real payload for the CI smoke job.
@@ -29,7 +35,13 @@ import pytest
 from repro import CaptureMode, TransferStrategy, Viper
 from repro.apps import get_app
 from repro.core.transfer.compression import get_codec
-from repro.core.transfer.delta import ChunkIndex, decode_frame, encode_frame
+from repro.core.transfer.delta import (
+    ChunkIndex,
+    DeltaConfig,
+    DeltaManager,
+    decode_frame,
+    encode_frame,
+)
 from repro.dnn.serialization import ViperSerializer
 from repro.substrates.cost import MB
 
@@ -85,6 +97,7 @@ def measure_wire(fraction: float, compression: str = "none") -> dict:
 
     full = stats.bytes_total
     wire = min(len(frame), full)  # the handler falls back when frame >= full
+    manager_encode_s, manager_decode_s = measure_manager(fraction, compression)
     return {
         "changed_fraction": fraction,
         "compression": compression,
@@ -94,7 +107,42 @@ def measure_wire(fraction: float, compression: str = "none") -> dict:
         "dedup_hit_ratio": round(stats.dedup_hit_ratio, 4),
         "encode_mbps": round(full / max(encode_s, 1e-9) / MB, 1),
         "decode_mbps": round(full / max(decode_s, 1e-9) / MB, 1),
+        "manager_encode_mbps": round(full / max(manager_encode_s, 1e-9) / MB, 1),
+        # None: the manager shipped the blob whole, nothing to decode.
+        "manager_decode_mbps": (
+            None if manager_decode_s is None
+            else round(full / max(manager_decode_s, 1e-9) / MB, 1)
+        ),
     }
+
+
+def measure_manager(fraction: float, compression: str):
+    """Seconds the producer and the consumer side of ``DeltaManager`` take
+    for one ``fraction``-changed update in steady state: the best of
+    updates 3-5 of a chain, whose base is itself a version the manager
+    encoded and reconstructed (host noise is one-sided)."""
+    ser = ViperSerializer()
+    manager = DeltaManager(
+        DeltaConfig(enabled=True, chunk_bytes=CHUNK_BYTES, compression=compression),
+        serializer=ser,
+    )
+    state = build_state()
+    encode_s, decode_s = [], []
+    for version in (1, 2, 3, 4, 5):
+        blob = ser.dumps(state)
+        t0 = time.perf_counter()
+        frame, _ = manager.encode_for_save("bench", version, blob, state=state)
+        t1 = time.perf_counter()
+        loaded = blob if frame is None else manager.decode_for_load("bench", frame)
+        t2 = time.perf_counter()
+        assert loaded == blob
+        manager.register_loaded("bench", version, loaded)
+        if version >= 3:
+            encode_s.append(t1 - t0)
+            if frame is not None:
+                decode_s.append(t2 - t1)
+        state = mutate(state, fraction, seed=10 + version)
+    return min(encode_s), min(decode_s) if decode_s else None
 
 
 def simulated_latency(app_name: str, fraction: float, delta: bool) -> float:

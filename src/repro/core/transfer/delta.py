@@ -17,10 +17,11 @@ bytes that do move:
    length) map over the base blob (:class:`ChunkIndex`).
 3. **Negotiation** — the producer-side :class:`DeltaManager` knows which
    version each consumer last loaded (registered on every successful
-   load) and diffs the new blob against that base.  The snapshot-level
-   tensor diff (:func:`repro.core.transfer.incremental.changed_fraction`)
-   runs first: a near-fully-changed state short-circuits straight to the
-   monolithic path before any digest is computed.
+   load) and diffs the new blob against that base.  An exact per-piece
+   byte compare with the retained base blob runs first: a
+   near-fully-changed blob short-circuits straight to the monolithic
+   path before any digest is computed, and otherwise unchanged pieces
+   take over the base's digests so only changed pieces are hashed.
 4. **Recipe** — the producer ships a *delta frame* (wire format v3): an
    ordered list of ``reuse(offset, length, digest)`` /
    ``literal(codec, bytes)`` ops plus the reconstruction target's length
@@ -29,19 +30,26 @@ bytes that do move:
    stage running in the pipelined lanes so it overlaps the copy-out.
 5. **Reconstruction** — the consumer replays the recipe against its held
    base blob, verifying every reused chunk's digest, every literal's
-   length, and finally the whole reconstructed blob's CRC-32 — *then*
-   the inner v2 header checksum verifies again inside
+   length and digest, and finally the whole reconstructed blob's CRC-32
+   — *then* the inner v2 header checksum verifies again inside
    ``Serializer.loads`` before the double-buffer swap.  Corruption at
    any level raises :class:`~repro.errors.IntegrityError`; a missing or
    mismatched base raises :class:`DeltaBaseError` so the handler can
    fall back to the monolithic blob instead of erroring the update wave.
+
+Every byte is hashed once per side: digests and CRCs that one step
+computed or verified travel with the blob as data (``ChunkIndex`` on the
+producer, the held base's CRC and ``(offset, length) -> digest`` table
+on the consumer) instead of being recomputed by the next step.  A bare
+:func:`encode_frame` / :func:`decode_frame` call carries nothing and
+hashes everything; ``docs/architecture.md`` tabulates who hashes what.
 
 Fallback rules (all decided per save/load, never per deployment):
 
 - no base version registered for the consumer -> monolithic (or an
   all-literal compressed frame when a codec is configured and it wins);
 - the encoded frame is not smaller than the full blob -> monolithic;
-- the snapshot diff says (almost) everything changed and no codec is
+- the piece compare says (almost) everything changed and no codec is
   configured -> monolithic, skipping the digest pass entirely;
 - the consumer lost its base, or reconstruction failed verification ->
   the handler re-fetches the producer-retained monolithic blob.
@@ -53,12 +61,13 @@ import hashlib
 import struct
 import threading
 import zlib
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from itertools import accumulate, islice
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import DeltaBaseError, IntegrityError, StorageError
 from repro.core.transfer.compression import Codec, NullCodec, codec_for_id, get_codec
-from repro.core.transfer.pipeline import PipelinedTransfer
+from repro.core.transfer.pipeline import Chunker, PipelinedTransfer
 from repro.substrates.cost import KB
 
 __all__ = [
@@ -194,21 +203,33 @@ def _digest(chunk) -> bytes:
 
 
 class ChunkIndex:
-    """digest -> (offset, length) map over one base blob."""
+    """digest -> (offset, length) map over one base blob.
+
+    ``digests`` (one slot per :func:`chunk_bounds` entry, in grid order)
+    and ``crc`` carry what an earlier step already computed over these
+    bytes; only the ``None`` slots are hashed here.
+    """
 
     def __init__(self, blob: bytes, chunk_bytes: int,
-                 piece_lengths: Optional[Iterable[int]] = None):
-        self.blob = bytes(blob)
+                 piece_lengths: Optional[Iterable[int]] = None, *,
+                 digests: Optional[Sequence[Optional[bytes]]] = None,
+                 crc: Optional[int] = None):
+        self.blob = bytes(blob)  # no copy when already immutable
         self.chunk_bytes = chunk_bytes
-        self.crc = zlib.crc32(self.blob)
+        self.crc = zlib.crc32(self.blob) if crc is None else crc
         lengths = [len(self.blob)] if piece_lengths is None else list(piece_lengths)
+        bounds = chunk_bounds(lengths, chunk_bytes)
         mv = memoryview(self.blob)
+        carried = digests if digests is not None else [None] * len(bounds)
+        self.digests: List[bytes] = [
+            d if d is not None else _digest(mv[offset : offset + length])
+            for d, (offset, length) in zip(carried, bounds)
+        ]
         self._by_digest: Dict[bytes, Tuple[int, int]] = {}
-        for offset, length in chunk_bounds(lengths, chunk_bytes):
-            d = _digest(mv[offset : offset + length])
+        for d, bound in zip(self.digests, bounds):
             # First occurrence wins; duplicate chunks (zero pages) all
             # resolve to one base location, which is exactly dedup.
-            self._by_digest.setdefault(d, (offset, length))
+            self._by_digest.setdefault(d, bound)
 
     def lookup(self, digest: bytes) -> Optional[Tuple[int, int]]:
         return self._by_digest.get(digest)
@@ -223,6 +244,8 @@ def encode_frame(
     chunk_bytes: int,
     codec: Optional[Codec] = None,
     *,
+    digests: Optional[Sequence[bytes]] = None,
+    out_crc: Optional[int] = None,
     lanes: int = 1,
     tracer=None,
     metrics=None,
@@ -233,44 +256,27 @@ def encode_frame(
     ``base=None`` produces an all-literal frame (compression-only mode).
     With ``lanes > 1`` the literal compress stage runs through the
     pipelined executor so codec CPU overlaps the frame copy-out.
+    ``digests`` (one per chunk) and ``out_crc`` are the stream's own, when
+    the caller already holds them; what is missing is computed here.
     Returns ``(frame, stats)``; the caller compares ``len(frame)``
     against the full blob and falls back to monolithic when the recipe
     does not win.
     """
     codec = codec if codec is not None else NullCodec()
     null_codec = isinstance(codec, NullCodec)
-    views = []
-    for piece in pieces:
-        mv = memoryview(piece)
-        if mv.ndim != 1 or mv.itemsize != 1:
-            mv = mv.cast("B")
-        if len(mv):
-            views.append(mv)
-    bounds = chunk_bounds((len(v) for v in views), chunk_bytes)
-
-    # Flatten chunk views without copying: walk the piece list alongside
-    # the bounds (bounds never straddle a piece).
-    chunks: List[memoryview] = []
-    piece_idx = 0
-    piece_start = 0
-    for offset, length in bounds:
-        while offset >= piece_start + len(views[piece_idx]):
-            piece_start += len(views[piece_idx])
-            piece_idx += 1
-        local = offset - piece_start
-        chunks.append(views[piece_idx][local : local + length])
-
-    out_len = sum(len(v) for v in views)
-    out_crc = 0
-    for v in views:
-        out_crc = zlib.crc32(v, out_crc)
+    # The chunk_bounds grid as zero-copy views (it restarts at every piece).
+    chunks: List[memoryview] = list(Chunker(chunk_bytes).split_pieces(pieces))
+    out_len = sum(len(chunk) for chunk in chunks)
+    if out_crc is None:
+        out_crc = 0
+        for chunk in chunks:
+            out_crc = zlib.crc32(chunk, out_crc)
+    if digests is None:
+        digests = [_digest(chunk) for chunk in chunks]
 
     reused: Dict[int, Tuple[int, int, bytes]] = {}
     literal_idx: List[int] = []
-    digests: List[bytes] = []
-    for i, chunk in enumerate(chunks):
-        d = _digest(chunk)
-        digests.append(d)
+    for i, d in enumerate(digests):
         hit = base.lookup(d) if base is not None else None
         if hit is not None:
             reused[i] = (hit[0], hit[1], d)
@@ -284,7 +290,7 @@ def encode_frame(
 
     encoded: Dict[int, bytes] = {}
     if null_codec:
-        pass  # literals ship as raw views; no copy before the join
+        pass  # nothing to encode
     elif lanes > 1 and len(literal_idx) > 1:
         pipe = PipelinedTransfer(
             [("compress", lambda i, _idx: (i, _compress(i)))],
@@ -311,28 +317,16 @@ def encode_frame(
             continue
         orig_len = len(chunk)
         bytes_literal += orig_len
-        if null_codec:
-            parts.append(
-                _LITERAL.pack(_OP_LITERAL, codec.wire_id, orig_len,
-                              orig_len, digests[i])
-            )
-            parts.append(chunk)
-        else:
-            enc = encoded[i]
-            if len(enc) < orig_len:
-                parts.append(
-                    _LITERAL.pack(_OP_LITERAL, codec.wire_id, orig_len,
-                                  len(enc), digests[i])
-                )
-                parts.append(enc)
-                saved_compression += orig_len - len(enc)
-            else:
-                # Incompressible chunk: ship raw, marked codec "none".
-                parts.append(
-                    _LITERAL.pack(_OP_LITERAL, 0, orig_len, orig_len,
-                                  digests[i])
-                )
-                parts.append(chunk)
+        # The null codec ships the raw view (no copy before the join); so
+        # does an incompressible chunk, marked codec "none".
+        enc, codec_id = encoded.get(i, chunk), codec.wire_id
+        if len(enc) >= orig_len:
+            enc, codec_id = chunk, 0
+        parts.append(
+            _LITERAL.pack(_OP_LITERAL, codec_id, orig_len, len(enc), digests[i])
+        )
+        parts.append(enc)
+        saved_compression += orig_len - len(enc)
     parts[0] = _HEADER.pack(
         DELTA_MAGIC,
         _FRAME_VERSION,
@@ -381,38 +375,69 @@ def frame_info(frame) -> Dict[str, int]:
     }
 
 
+@dataclass
+class _HeldBase:
+    """A consumer-held blob plus what is already verified about it."""
+
+    blob: bytes
+    #: CRC-32 of ``blob``: the out-CRC checked when it was reconstructed,
+    #: else computed by the first decode against it.
+    crc: Optional[int] = None
+    #: (offset, length) -> digest, for the chunks whose digest was checked.
+    digests: Dict[Tuple[int, int], bytes] = field(default_factory=dict)
+
+
 def decode_frame(frame, base_blob: Optional[bytes]) -> bytes:
     """Reconstruct the full v2 blob from a frame plus the held base.
 
-    Verification is layered: reuse ops re-digest the base range,
-    literal ops check post-codec length against the recipe, and the
-    whole reconstruction checks against the frame's CRC-32 — any
+    Verification is layered: reuse ops check the base range's digest,
+    literal ops check post-codec length and digest against the recipe,
+    and the whole reconstruction checks against the frame's CRC-32 — any
     mismatch raises :class:`~repro.errors.IntegrityError` before a
     single byte can reach the double buffer.  A missing/mismatched base
-    raises :class:`DeltaBaseError` (fall back, don't fail).
+    raises :class:`DeltaBaseError` (fall back, don't fail).  Called bare
+    like this, nothing is known about ``base_blob``: its CRC and every
+    range the recipe reuses are hashed here.
+    """
+    base = _HeldBase(base_blob) if base_blob is not None else None
+    return _reconstruct(frame, base).blob
+
+
+def _reconstruct(frame, base: Optional[_HeldBase]) -> _HeldBase:
+    """:func:`decode_frame` against a base that remembers its checks.
+
+    A reuse op whose ``(offset, length)`` is in ``base.digests`` compares
+    the recipe's digest with the recorded one; any other range is hashed.
+    Returns the reconstruction with its verified out-CRC and the digest
+    of every chunk in it.  ``base`` learns its CRC and the ranges hashed
+    here only once the whole decode has verified, so a failed decode
+    leaves it exactly as it was.
     """
     info = frame_info(frame)
     mv = memoryview(frame)
+    base_mv = memoryview(b"")
+    known: Dict[Tuple[int, int], bytes] = {}
     if info["base_len"]:
-        if base_blob is None:
+        if base is None:
             raise DeltaBaseError(
                 f"delta frame needs a {info['base_len']}-byte base blob "
                 f"but none is held"
             )
-        if (
-            len(base_blob) != info["base_len"]
-            or zlib.crc32(base_blob) != info["base_crc"]
-        ):
+        base_crc = base.crc
+        if base_crc is None and len(base.blob) == info["base_len"]:
+            base_crc = zlib.crc32(base.blob)
+        if len(base.blob) != info["base_len"] or base_crc != info["base_crc"]:
             raise DeltaBaseError(
                 f"held base does not match the frame's negotiated base "
-                f"(len {len(base_blob)} vs {info['base_len']})"
+                f"(len {len(base.blob)} vs {info['base_len']})"
             )
-        base_mv = memoryview(base_blob)
-    else:
-        base_mv = memoryview(b"")
+        base_mv = memoryview(base.blob)
+        known = base.digests
 
-    out = bytearray(info["out_len"])
-    out_mv = memoryview(out)
+    parts: List = []  # literals and coalesced base ranges, in order
+    run_start = run_end = 0  # the base range being coalesced
+    learned: Dict[Tuple[int, int], bytes] = {}
+    digests: Dict[Tuple[int, int], bytes] = {}
     pos = _HEADER.size
     write = 0
     for _ in range(info["nops"]):
@@ -422,18 +447,25 @@ def decode_frame(frame, base_blob: Optional[bytes]) -> bytes:
         if tag == _OP_REUSE:
             if pos + _REUSE.size > len(mv):
                 raise IntegrityError("truncated delta frame (reuse op header)")
-            _tag, offset, length, digest = _REUSE.unpack_from(mv, pos)
+            _tag, offset, size, digest = _REUSE.unpack_from(mv, pos)
             pos += _REUSE.size
-            if offset + length > len(base_mv):
+            if offset + size > len(base_mv):
                 raise DeltaBaseError(
-                    f"reuse op [{offset}:{offset + length}] exceeds the "
+                    f"reuse op [{offset}:{offset + size}] exceeds the "
                     f"held base ({len(base_mv)} bytes)"
                 )
-            chunk = base_mv[offset : offset + length]
-            if _digest(chunk) != digest:
+            key = (offset, size)
+            have = known.get(key) or learned.get(key)
+            if have is None:
+                have = learned[key] = _digest(base_mv[offset : offset + size])
+            if have != digest:
                 raise IntegrityError(
                     "reused chunk digest mismatch (base blob corrupt?)"
                 )
+            if offset != run_end:  # not adjacent: close the open range
+                parts.append(base_mv[run_start:run_end])
+                run_start = offset
+            run_end = offset + size
         elif tag == _OP_LITERAL:
             if pos + _LITERAL.size > len(mv):
                 raise IntegrityError(
@@ -451,17 +483,22 @@ def decode_frame(frame, base_blob: Optional[bytes]) -> bytes:
             pos += enc_len
             if _digest(chunk) != digest:
                 raise IntegrityError("literal chunk digest mismatch")
+            size = len(chunk)
+            parts += (base_mv[run_start:run_end], chunk)
+            run_start = run_end = 0
         else:
             raise IntegrityError(f"unknown delta op tag {tag}")
-        if write + len(chunk) > len(out_mv):
+        if write + size > info["out_len"]:
             raise IntegrityError("delta recipe overflows the declared length")
-        out_mv[write : write + len(chunk)] = chunk
-        write += len(chunk)
+        digests[(write, size)] = digest
+        write += size
     if write != info["out_len"]:
         raise IntegrityError(
             f"delta recipe reconstructed {write} bytes, header says "
             f"{info['out_len']}"
         )
+    parts.append(base_mv[run_start:run_end])
+    out = b"".join(parts)
     actual = zlib.crc32(out)
     if actual != info["out_crc"]:
         raise IntegrityError(
@@ -470,7 +507,10 @@ def decode_frame(frame, base_blob: Optional[bytes]) -> bytes:
             expected=info["out_crc"],
             actual=actual,
         )
-    return bytes(out)
+    if info["base_len"]:
+        base.crc = base_crc
+        base.digests.update(learned)
+    return _HeldBase(out, actual, digests)
 
 
 @dataclass
@@ -478,7 +518,9 @@ class _ProducerEntry:
     """Producer-retained encode state for one version."""
 
     blob: bytes
-    index: ChunkIndex
+    piece_lengths: List[int]
+    #: None until an encode hashes this version or a later save diffs against it.
+    index: Optional[ChunkIndex] = None
 
 
 class DeltaManager:
@@ -507,8 +549,10 @@ class DeltaManager:
         self._produced: Dict[str, Dict[int, _ProducerEntry]] = {}
         # negotiation: model -> version the consumer last confirmed
         self._held_version: Dict[str, int] = {}
-        # consumer: model -> (version, full blob)
-        self._held_blob: Dict[str, Tuple[int, bytes]] = {}
+        # consumer: model -> the held base
+        self._held_blob: Dict[str, _HeldBase] = {}
+        # consumer: model -> the last reconstruction, until it is registered
+        self._decoded: Dict[str, _HeldBase] = {}
 
     @property
     def enabled(self) -> bool:
@@ -517,35 +561,36 @@ class DeltaManager:
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
-    def _remember(self, model_name: str, version: int, blob: bytes,
-                  piece_lengths: Iterable[int]) -> None:
-        entry = _ProducerEntry(
-            blob=bytes(blob),
-            index=ChunkIndex(blob, self.config.chunk_bytes, piece_lengths),
-        )
+    def _remember(self, model_name: str, version: int, entry: _ProducerEntry) -> None:
         with self._lock:
             cache = self._produced.setdefault(model_name, {})
             cache[version] = entry
             while len(cache) > self.config.cache_versions:
                 cache.pop(next(iter(cache)))
 
-    def _pieces_of(self, blob: bytes, state) -> Tuple[List, List[int]]:
-        """The iovec to chunk: serializer pieces when possible, else the
+    def _entry(self, blob, state, piece_lengths) -> _ProducerEntry:
+        """``blob`` as one immutable copy (none for ``bytes``) on its piece
+        grid: the caller's, else the serializer's when possible, else the
         whole blob as one piece (still correct, coarser boundaries)."""
-        if self.serializer is not None and state is not None:
-            pieces = list(self.serializer.dump_chunks(state))
-        else:
-            pieces = [memoryview(blob)]
-        lengths = []
-        for p in pieces:
-            mv = memoryview(p)
-            if mv.ndim != 1 or mv.itemsize != 1:
-                mv = mv.cast("B")
-            lengths.append(len(mv))
-        return pieces, lengths
+        blob = bytes(blob)
+        if piece_lengths:
+            return _ProducerEntry(blob, list(piece_lengths))
+        if self.serializer is None or state is None:
+            return _ProducerEntry(blob, [len(blob)])
+        pieces = self.serializer.dump_chunks(state)
+        return _ProducerEntry(blob, [memoryview(p).nbytes for p in pieces])
+
+    def _index(self, entry: _ProducerEntry, digests=None) -> ChunkIndex:
+        if entry.index is None:
+            entry.index = ChunkIndex(
+                entry.blob, self.config.chunk_bytes, entry.piece_lengths,
+                digests=digests,
+            )
+        return entry.index
 
     def remember_saved(
-        self, model_name: str, version: int, blob: bytes, state=None
+        self, model_name: str, version: int, blob: bytes, state=None,
+        piece_lengths: Optional[Sequence[int]] = None,
     ) -> None:
         """Retain a monolithic save for future diffs and fallbacks.
 
@@ -554,10 +599,9 @@ class DeltaManager:
         enters the producer cache so later volatile-tier saves can diff
         against it and baseless consumers can re-fetch it.
         """
-        if not self.config.enabled:
-            return
-        _, piece_lengths = self._pieces_of(blob, state)
-        self._remember(model_name, version, blob, piece_lengths)
+        if self.config.enabled:
+            entry = self._entry(blob, state, piece_lengths)
+            self._remember(model_name, version, entry)
 
     def encode_for_save(
         self,
@@ -565,7 +609,7 @@ class DeltaManager:
         version: int,
         blob: bytes,
         state=None,
-        prev_state=None,
+        piece_lengths: Optional[Sequence[int]] = None,
     ) -> Tuple[Optional[bytes], DeltaStats]:
         """Decide and encode the wire form for one save.
 
@@ -573,63 +617,60 @@ class DeltaManager:
         monolithic ``blob`` (stats then records the monolithic bytes).
         Always retains ``blob`` for future diffs and for the consumer's
         missing-base fallback, even when the decision is monolithic.
+        ``piece_lengths`` (when non-empty) is the serializer's piece grid,
+        from the ``dump_chunks`` pass that produced ``blob``.
         """
-        pieces, piece_lengths = self._pieces_of(blob, state)
         mono = DeltaStats(
             mode="monolithic", bytes_total=len(blob), bytes_on_wire=len(blob)
         )
         if not self.config.enabled:
             return None, mono
-
+        entry = self._entry(blob, state, piece_lengths)
         with self._lock:
             held = self._held_version.get(model_name)
-            base_entry = (
+            base = (
                 self._produced.get(model_name, {}).get(held)
                 if held is not None
                 else None
             )
+        self._remember(model_name, version, entry)
         codec = self.config.codec()
         null_codec = isinstance(codec, NullCodec)
-
-        try:
-            if base_entry is None:
-                if null_codec:
-                    # No base and nothing to compress: the frame could
-                    # only add overhead.
-                    return None, mono
-                frame, stats = encode_frame(
-                    None, pieces, self.config.chunk_bytes, codec,
-                    lanes=self.lanes, tracer=self.tracer, metrics=self.metrics,
-                )
-            else:
-                # Snapshot-level early-out (the promoted incremental
-                # diff): when (almost) everything changed and no codec
-                # can claw bytes back, skip the digest pass entirely.
-                if null_codec and state is not None:
-                    if prev_state is None and self.serializer is not None:
-                        # The retained base blob *is* the previous state;
-                        # zero-copy views make the comparison cheap
-                        # relative to digesting every chunk.
-                        try:
-                            prev_state = self.serializer.loads(
-                                base_entry.blob, copy=False
-                            )
-                        except Exception:
-                            prev_state = None
-                    from repro.core.transfer.incremental import changed_fraction
-
-                    if (
-                        prev_state is not None
-                        and changed_fraction(prev_state, state)
-                        >= self.config.full_change_threshold
-                    ):
-                        return None, mono
-                frame, stats = encode_frame(
-                    base_entry.index, pieces, self.config.chunk_bytes, codec,
-                    lanes=self.lanes, tracer=self.tracer, metrics=self.metrics,
-                )
-        finally:
-            self._remember(model_name, version, blob, piece_lengths)
+        chunk_bytes = self.config.chunk_bytes
+        blob = entry.blob
+        ends = list(accumulate(entry.piece_lengths))
+        spans = list(zip([0] + ends, ends))  # (start, end) of every piece
+        carried = None
+        if base is None:
+            if null_codec:
+                # No base and nothing to compress: the frame could only
+                # add overhead.
+                return None, mono
+        elif base.piece_lengths == entry.piece_lengths:
+            # Same grid: an exact compare with the retained base blob says
+            # which pieces changed, without hashing or parsing anything.
+            old = memoryview(base.blob)
+            same = [blob.startswith(old[a:b], a) for a, b in spans]
+            changed = sum(b - a for (a, b), keep in zip(spans, same) if not keep)
+            if null_codec and changed >= self.config.full_change_threshold * len(blob):
+                # (Almost) everything changed and no codec can claw bytes
+                # back: the recipe cannot win, so nothing is hashed.
+                return None, mono
+            # Unchanged pieces take the base's digests for their chunk
+            # range; only changed pieces are hashed.
+            known = iter(self._index(base).digests)
+            carried = []
+            for (a, b), keep in zip(spans, same):
+                of_piece = list(islice(known, -(-(b - a) // chunk_bytes)))
+                carried += of_piece if keep else [None] * len(of_piece)
+        index = self._index(entry, carried)
+        mv = memoryview(blob)
+        frame, stats = encode_frame(
+            self._index(base) if base is not None else None,
+            [mv[a:b] for a, b in spans], chunk_bytes, codec,
+            digests=index.digests, out_crc=index.crc,
+            lanes=self.lanes, tracer=self.tracer, metrics=self.metrics,
+        )
         if len(frame) >= len(blob):
             # The delta would be larger (fully-changed or incompressible
             # payload): monolithic fallback, by construction never worse.
@@ -642,14 +683,24 @@ class DeltaManager:
     def decode_for_load(self, model_name: str, frame) -> bytes:
         """Reconstruct a fetched frame against the held base."""
         with self._lock:
-            held = self._held_blob.get(model_name)
-        base = held[1] if held is not None else None
-        return decode_frame(frame, base)
+            base = self._held_blob.get(model_name)
+        decoded = _reconstruct(frame, base)
+        with self._lock:
+            self._decoded[model_name] = decoded
+        return decoded.blob
 
     def register_loaded(self, model_name: str, version: int, blob: bytes) -> None:
-        """A consumer finished loading ``version``: new negotiation base."""
+        """A consumer finished loading ``version``: new negotiation base.
+
+        The very object :meth:`decode_for_load` last returned brings its
+        verified out-CRC and chunk digests along; of any other blob
+        nothing is known yet.
+        """
         with self._lock:
-            self._held_blob[model_name] = (version, bytes(blob))
+            held = self._decoded.pop(model_name, None)
+            if held is None or held.blob is not blob:
+                held = _HeldBase(bytes(blob))
+            self._held_blob[model_name] = held
             self._held_version[model_name] = version
 
     def held_version(self, model_name: str) -> Optional[int]:
@@ -659,12 +710,11 @@ class DeltaManager:
     def forget_held(self, model_name: Optional[str] = None) -> None:
         """Drop the consumer-side base(s) (a restarted consumer)."""
         with self._lock:
-            if model_name is None:
-                self._held_blob.clear()
-                self._held_version.clear()
-            else:
-                self._held_blob.pop(model_name, None)
-                self._held_version.pop(model_name, None)
+            for table in (self._held_blob, self._held_version, self._decoded):
+                if model_name is None:
+                    table.clear()
+                else:
+                    table.pop(model_name, None)
 
     def full_blob(self, model_name: str, version: int) -> Optional[bytes]:
         """The producer-retained monolithic blob (fallback source)."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -307,6 +307,9 @@ class ModelWeightsHandler:
                 track="producer",
                 pipelined=self.pipeline.enabled,
             ):
+                # Filled by the one dump_chunks pass that assembles the blob,
+                # so the delta chunk grid needs no second (checksumming) pass.
+                lengths: List[int] = []
                 if self.pipeline.enabled:
                     # Chunked capture: zero-copy iovec pieces streamed into
                     # one staging buffer (single copy, overlapped).
@@ -317,25 +320,31 @@ class ModelWeightsHandler:
                         tracer=self.tracer,
                         metrics=self.metrics,
                         trace_ctx=ctx.to_header() if ctx is not None else "",
+                        piece_lengths=lengths,
                     )
                 else:
                     blob = self.serializer.dumps(state)
+            if self.delta.enabled:
+                # One immutable copy for the producer cache and the stores.
+                blob = bytes(blob)
             # Delta encode before the timing law: the law's wire terms
             # scale to what actually moves.  Digest/codec CPU is a real
             # (wall-clock) producer cost; the simulated law scales bytes.
-            wire_blob: bytes = blob
+            wire_blob: Union[bytes, bytearray] = blob
             dstats: Optional[DeltaStats] = None
             if self.delta.enabled and chosen is TransferStrategy.PFS:
                 # The durable root always ships the self-contained blob;
                 # retain it so later volatile-tier saves can diff it.
-                self.delta.remember_saved(model_name, ver, blob, state=state)
+                self.delta.remember_saved(
+                    model_name, ver, blob, state=state, piece_lengths=lengths
+                )
             elif self.delta.enabled:
                 had_base = self.delta.held_version(model_name) is not None
                 with self.tracer.span(
                     "handler.delta_encode", track="producer", version=ver
                 ) as dsp:
                     frame, dstats = self.delta.encode_for_save(
-                        model_name, ver, blob, state=state
+                        model_name, ver, blob, state=state, piece_lengths=lengths
                     )
                     if frame is not None:
                         wire_blob = frame

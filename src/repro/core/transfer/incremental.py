@@ -22,13 +22,9 @@ only the decoders refine, a delta carries a fraction of the bytes, and
 both the producer stall and the consumer load shrink proportionally
 (see ``benchmarks/test_ablation_incremental.py``).
 
-This snapshot-level diff also *feeds* the chunk-level delta wire path
-(:mod:`repro.core.transfer.delta`): :func:`changed_names` /
-:func:`changed_fraction` are the negotiation heuristic the
-``DeltaManager`` runs against the consumer's held base before paying
-for per-chunk digests — a near-fully-changed snapshot short-circuits
-straight to the monolithic path, which is what keeps the 100%-changed
-worst case regression-free.
+The chunk-level delta wire path (:mod:`repro.core.transfer.delta`) does
+not use this module: its negotiation compares serialized pieces with the
+retained base blob, which needs no second state dict.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ __all__ = [
     "is_delta",
     "delta_payload_bytes",
     "changed_names",
-    "changed_fraction",
 ]
 
 _MARK = "__delta__/base_version"
@@ -73,24 +68,6 @@ def changed_names(
         elif not np.array_equal(a, b):
             out.append(name)
     return tuple(out)
-
-
-def changed_fraction(
-    prev: Dict[str, np.ndarray],
-    curr: Dict[str, np.ndarray],
-) -> float:
-    """Fraction of ``curr``'s payload bytes held by changed tensors.
-
-    The tensor is the granularity: one flipped element marks its whole
-    tensor changed, so this is an upper bound on what a finer-grained
-    (chunk- or row-level) diff would move.  1.0 for an empty ``curr``
-    keeps the degenerate case on the conservative (monolithic) side.
-    """
-    total = sum(int(t.nbytes) for t in curr.values())
-    if total == 0:
-        return 1.0
-    changed = changed_names(prev, curr)
-    return sum(int(curr[name].nbytes) for name in changed) / total
 
 
 def encode_delta(

@@ -35,7 +35,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, TransferError
 from repro.obs.metrics import NULL_METRICS
@@ -407,7 +407,8 @@ def serialize_pipelined(
     metrics=None,
     pool: Optional[BufferPool] = None,
     trace_ctx: str = "",
-):
+    piece_lengths: Optional[List[int]] = None,
+) -> Union[bytes, bytearray]:
     """Serialize ``state`` through the chunk pipeline into one blob.
 
     The capture stage produces zero-copy iovec chunks
@@ -418,10 +419,17 @@ def serialize_pipelined(
 
     Without a pool the assembled ``bytearray`` is returned outright
     (single copy end to end); with a pool, the pooled buffer is snapshotted
-    to ``bytes`` and recycled.
+    to ``bytes`` and recycled.  A list passed as ``piece_lengths`` receives
+    the byte length of every serializer piece, so a caller that chunks the
+    blob on piece boundaries (the delta path) need not take the
+    ``dump_chunks`` pass — it checksums every byte — a second time.
     """
     chunker = Chunker(config.chunk_bytes)
-    pieces = list(chunker.split_pieces(serializer.dump_chunks(state)))
+    iovec = serializer.dump_chunks(state)
+    if piece_lengths is not None:
+        iovec = list(iovec)
+        piece_lengths.extend(memoryview(p).nbytes for p in iovec)
+    pieces = list(chunker.split_pieces(iovec))
     total = sum(len(p) for p in pieces)
     buf = pool.acquire(total) if pool is not None else bytearray(total)
     offsets = []

@@ -1,0 +1,240 @@
+"""Differential property test: four wire paths, one byte stream.
+
+A random sequence of versions (full-change, sparse, zero-change and
+re-gridded saves, with the consumer loading only some of them) runs
+through ``Viper.save_weights`` -> ``load_weights`` under four
+configurations.  Every load must return the saved state byte for byte
+(monolithic == pipelined == delta == delta+zlib), and every save of the
+two delta configurations must stage exactly the bytes the reference
+producer below emits.  The reference hashes every chunk of every blob
+and carries nothing from one save to the next, so any digest or CRC the
+real producer carries wrongly shows up as a different frame.
+"""
+
+import hashlib
+import zlib
+from collections import OrderedDict
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import CaptureMode, TransferStrategy, Viper
+from repro.core.transfer.delta import (
+    _HEADER,
+    _LITERAL,
+    _REUSE,
+    DeltaConfig,
+    is_delta_frame,
+)
+from repro.core.transfer.pipeline import PipelineConfig
+from repro.dnn.serialization import ViperSerializer
+
+CHUNK = 128
+MODEL = "m"
+SER = ViperSerializer()
+
+
+def _digest(chunk) -> bytes:
+    return hashlib.blake2b(chunk, digest_size=16).digest()
+
+
+def _grid(lengths):
+    """(offset, length) of every chunk; the grid restarts at each piece."""
+    offset = 0
+    for n in lengths:
+        for start in range(0, n, CHUNK):
+            yield offset + start, min(CHUNK, n - start)
+        offset += n
+
+
+def reference_frame(base, blob, lengths, codec):
+    """The v3 frame for ``blob`` against ``base`` = (blob, lengths) | None,
+    hashing every chunk of both."""
+    index = {}
+    base_blob = base[0] if base is not None else b""
+    if base is not None:
+        for o, n in _grid(base[1]):
+            index.setdefault(_digest(base_blob[o : o + n]), (o, n))
+    ops = []
+    for o, n in _grid(lengths):
+        chunk = blob[o : o + n]
+        d = _digest(chunk)
+        if d in index:
+            ops.append(_REUSE.pack(0, *index[d], d))
+            continue
+        enc, codec_id = chunk, 0
+        if codec == "zlib":
+            packed = zlib.compress(chunk, 1)
+            if len(packed) < n:  # else: ships raw, marked codec "none"
+                enc, codec_id = packed, 1
+        ops.append(_LITERAL.pack(1, codec_id, n, len(enc), d) + enc)
+    header = _HEADER.pack(
+        b"VPRD", 3, len(base_blob), zlib.crc32(base_blob) if base else 0,
+        len(blob), zlib.crc32(blob), len(ops),
+    )
+    return header + b"".join(ops)
+
+
+class ReferenceProducer:
+    """The negotiation rules, restated: which bytes a save stages."""
+
+    def __init__(self, config: DeltaConfig):
+        self.config = config
+        self.cache = OrderedDict()  # version -> (blob, piece lengths)
+        self.held = None            # version the consumer last loaded
+
+    def wire(self, version, state) -> bytes:
+        lengths = [memoryview(p).nbytes for p in SER.dump_chunks(state)]
+        blob = SER.dumps(state)
+        base = self.cache.get(self.held)
+        self.cache[version] = (blob, lengths)
+        while len(self.cache) > self.config.cache_versions:
+            self.cache.popitem(last=False)
+        codec = self.config.compression
+        if base is None and codec == "none":
+            return blob
+        if base is not None and codec == "none" and base[1] == lengths:
+            changed, offset = 0, 0
+            for n in lengths:
+                if blob[offset : offset + n] != base[0][offset : offset + n]:
+                    changed += n
+                offset += n
+            if changed >= self.config.full_change_threshold * len(blob):
+                return blob
+        frame = reference_frame(base, blob, lengths, codec)
+        return frame if len(frame) < len(blob) else blob
+
+
+def _configs():
+    pipe = PipelineConfig(enabled=True, chunk_bytes=200, lanes=2)
+    delta = DeltaConfig(enabled=True, chunk_bytes=CHUNK)
+    zdelta = DeltaConfig(enabled=True, chunk_bytes=CHUNK, compression="zlib")
+    return {
+        "monolithic": dict(),
+        "pipelined": dict(pipeline=pipe),
+        "delta": dict(pipeline=pipe, delta=delta),
+        "delta+zlib": dict(delta=zdelta),
+    }
+
+
+def _staged(viper, record) -> bytes:
+    node = viper.consumer_node
+    store = {"gpu": node.gpu, "host_dram": node.dram, "pfs": viper.cluster.pfs}
+    return store[record.location].get(record.path)[0]
+
+
+def _versions(seed, sizes, steps):
+    """The state of every version, from the step list."""
+    rng = np.random.default_rng(seed)
+    state = {
+        f"t{i}": rng.standard_normal(n).astype(np.float32)
+        for i, n in enumerate(sizes)
+    }
+    for kind, mask, _load in steps:
+        state = dict(state)
+        names = sorted(state)
+        if kind == "full":
+            touched = names
+        elif kind == "sparse":
+            touched = [k for k, hit in zip(names, mask) if hit]
+        else:
+            touched = []
+        for k in touched:
+            state[k] = rng.standard_normal(state[k].shape).astype(np.float32)
+        if kind == "grow":  # one piece changes length: the grid shifts
+            state[names[-1]] = np.append(state[names[-1]], np.float32(1.5))
+        elif kind == "add":  # the piece count changes
+            state[f"t{len(names)}"] = rng.standard_normal(5).astype(np.float32)
+        yield state
+
+
+def run_sequence(seed, sizes, steps):
+    states = list(_versions(seed, sizes, steps))
+    loaded = {}
+    for name, kwargs in _configs().items():
+        reference = (
+            ReferenceProducer(kwargs["delta"]) if "delta" in kwargs else None
+        )
+        outputs = []
+        with Viper(**kwargs) as viper:
+            for (_kind, _mask, load), state in zip(steps, states):
+                res = viper.save_weights(
+                    MODEL, state, mode=CaptureMode.SYNC,
+                    strategy=TransferStrategy.HOST_TO_HOST,
+                )
+                wire = _staged(viper, res.record)
+                if reference is None:
+                    assert wire == SER.dumps(state), name
+                else:
+                    expected = reference.wire(res.version, state)
+                    assert wire == expected, (name, res.version)
+                if load:
+                    got = viper.load_weights(MODEL)
+                    assert got.version == res.version
+                    outputs.append(SER.dumps(got.state))
+                    assert outputs[-1] == SER.dumps(state), (name, res.version)
+                    if reference is not None:
+                        reference.held = res.version
+        loaded[name] = outputs
+    first = loaded["monolithic"]
+    assert all(out == first for out in loaded.values())
+    return loaded
+
+
+step = st.tuples(
+    st.sampled_from(["full", "sparse", "sparse", "zero", "grow", "add"]),
+    st.lists(st.booleans(), min_size=6, max_size=6),
+    st.booleans(),
+)
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 2**16),
+    sizes=st.lists(st.integers(1, 160), min_size=2, max_size=4),
+    steps=st.lists(step, min_size=2, max_size=8),
+)
+def test_all_wire_paths_agree_and_frames_match_reference(seed, sizes, steps):
+    run_sequence(seed, sizes, steps)
+
+
+def test_named_scenario_covers_every_producer_branch():
+    """One fixed sequence through each branch the property can reach:
+    baseless save, sparse carry, zero change, the monolithic early-out
+    followed by a diff against it (lazy index), a shifted grid, a new
+    piece, and a held base that fell out of ``cache_versions``."""
+    some, none = [False, True, False, False, False, False], [False] * 6
+    steps = [
+        ("full", none, True),     # v1: no base yet
+        ("sparse", some, True),   # v2: carried digests
+        ("zero", none, True),     # v3: all reuse
+        ("full", none, True),     # v4: early-out, index left unbuilt
+        ("sparse", some, True),   # v5: diffs against v4 -> lazy index
+        ("grow", none, True),     # v6: grid shifted -> full hashing
+        ("add", none, True),      # v7: piece count changed
+        ("sparse", some, False),  # v8..v12 unloaded: v7 is evicted from
+        ("sparse", some, False),  # the producer cache (cache_versions=4)
+        ("sparse", some, False),
+        ("sparse", some, False),
+        ("sparse", some, False),
+        ("sparse", some, True),   # v13: base gone -> ships whole; reload
+        ("sparse", some, True),   # v14: delta again
+    ]
+    sizes = [150, 24, 97, 7]
+    run_sequence(7, sizes, steps)
+    # The scenario did exercise frames, not only whole blobs.
+    states = list(_versions(7, sizes, steps))
+    reference = ReferenceProducer(DeltaConfig(enabled=True, chunk_bytes=CHUNK))
+    kinds = []
+    for version, ((_k, _m, load), state) in enumerate(zip(steps, states), 1):
+        kinds.append(is_delta_frame(reference.wire(version, state)))
+        if load:
+            reference.held = version
+    assert kinds == [
+        False, True, True, False, True, True, True,
+        True, True, True, True, False, False, True,
+    ]

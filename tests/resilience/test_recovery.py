@@ -305,9 +305,10 @@ class TestFlusherShutdown:
 
     def test_stop_without_drain_records_stranded(self):
         pfs, meta = _make_pfs(), MetadataStore()
-        gate = threading.Event()
+        entered, gate = threading.Event(), threading.Event()
 
         def hook(job, attempt):
+            entered.set()
             gate.wait(5)
             return False
 
@@ -315,15 +316,16 @@ class TestFlusherShutdown:
         for v in (1, 2):
             meta.publish_version(_job(v).record)
             flusher.submit(_job(v))
-        stopper = threading.Thread(
-            target=lambda: flusher.stop(drain=False)
-        )
-        stopper.start()
-        while not flusher._abort:  # _abort is set before the join blocks
-            gate.wait(0.001)
+        # Job 1 must be in flight (inside the hook) before the abort, or
+        # both jobs could be abandoned.
+        assert entered.wait(5)
+        # stop() sets the abort flag before it joins the worker, so once
+        # its (bounded) join has given up the gate can open: job 2 is
+        # dequeued only after that and must see the flag.
+        flusher.stop(timeout=0.01, drain=False)
         gate.set()
-        stopper.join(10)
-        assert not stopper.is_alive()
+        flusher._thread.join(10)
+        assert not flusher._thread.is_alive()
         # Job 1 was already in flight and completes; job 2 is abandoned
         # loudly: recorded stranded, its record still non-durable.
         assert flusher.flushed_keys == ("m/v1",)
