@@ -1,6 +1,6 @@
 # Convenience targets for the Viper reproduction.
 
-.PHONY: install test lint chaos bench bench-delta bench-overload bench-e2e examples experiments clean
+.PHONY: install test lint lint-local chaos bench bench-delta bench-overload bench-e2e examples experiments clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -13,6 +13,12 @@ lint:
 	ruff check src tests benchmarks examples
 	ruff format --check src/repro/resilience
 	mypy src/repro
+
+# The stdlib-only part of the lint gate, runnable without ruff/mypy:
+# byte-compile every module and fail on unused imports.
+lint-local:
+	python -m compileall -q src
+	PYTHONPATH=src python -m pytest -q tests/test_lint_local.py
 
 # Fault-injection suite under an arbitrary seed, like CI's chaos job:
 #   make chaos SEED=12345

@@ -9,8 +9,6 @@ app registry as virtual sizes for the hardware model.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.dnn.layers import (
     Conv1D,
     Dense,

@@ -29,7 +29,6 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional
 
-
 from repro.errors import (
     ConfigurationError,
     IntegrityError,
@@ -65,7 +64,6 @@ class Viper:
         metrics=None,
         pipeline=None,
         delta=None,
-        compression: Optional[str] = None,
         retry_policy=None,
         failover: bool = True,
         fault_plan=None,
@@ -146,7 +144,7 @@ class Viper:
             tracer=self.tracer,
             metrics=self.metrics,
             pipeline=pipeline,
-            delta=self._delta_config(delta, compression),
+            delta=delta,
             retry_policy=retry_policy,
             failover=failover,
             lineage=self.lineage,
@@ -188,40 +186,9 @@ class Viper:
 
         if breaker is None or breaker is False:
             return None
-        config = breaker if isinstance(breaker, BreakerConfig) else None
         return BreakerBoard(
-            config,
-            seed=default_seed(),
-            metrics=self.metrics,
-            stats=self.stats,
-        )
-
-    @staticmethod
-    def _delta_config(delta, compression: Optional[str]):
-        """Normalize the delta/compression knobs to one DeltaConfig.
-
-        ``delta`` accepts a :class:`~repro.core.transfer.delta.DeltaConfig`
-        or a plain bool; a *real* ``compression`` codec alone implies the
-        delta path with an all-literal (compression-only) wire form.  An
-        explicit ``compression="none"`` means the same as leaving it
-        unset — it never opts a deployment into the delta path.
-        """
-        from repro.core.transfer.delta import DeltaConfig
-
-        if compression == "none":
-            compression = None
-        if isinstance(delta, DeltaConfig):
-            if compression is not None and compression != delta.compression:
-                raise ConfigurationError(
-                    f"compression={compression!r} conflicts with "
-                    f"DeltaConfig(compression={delta.compression!r})"
-                )
-            return delta
-        if delta is None and compression is None:
-            return None
-        return DeltaConfig(
-            enabled=bool(delta) or compression is not None,
-            compression=compression if compression is not None else "none",
+            breaker if isinstance(breaker, BreakerConfig) else None,
+            seed=default_seed(), metrics=self.metrics, stats=self.stats,
         )
 
     # -- paper Fig. 4 API -------------------------------------------------
@@ -388,16 +355,29 @@ class ViperConsumer:
         return self._buffer.version
 
     # ------------------------------------------------------------------
-    def apply_update(self, model_name: str, version: Optional[int] = None) -> LoadResult:
-        """Load a checkpoint and atomically swap it into serving."""
+    def _load_checked(
+        self,
+        op: str,
+        model_name: str,
+        version: Optional[int],
+        place: Callable[[LoadResult], str],
+    ) -> LoadResult:
+        """Load a verified, servable checkpoint and hand it to ``place``
+        (the ``consumer.<op>`` span covers both).
+
+        A corrupt checkpoint never reaches a buffer slot: the rejection
+        is counted and the error re-raised, so the live model keeps
+        serving.  A quarantined version is refused even when a caller
+        names it explicitly (``metadata.latest`` already skips it).
+        ``place`` puts the state into its slot and returns the lineage
+        hop that follows ``load``.
+        """
         with self._lock, self.viper.tracer.span(
-            "consumer.apply_update", track="consumer", model=model_name
+            f"consumer.{op}", track="consumer", model=model_name
         ) as sp:
             try:
                 result = self.viper.load_weights(model_name, version)
             except (IntegrityError, RetriesExhausted) as exc:
-                # A corrupt checkpoint never reaches either buffer slot:
-                # the swap is rejected and the live model keeps serving.
                 cause = exc if isinstance(exc, IntegrityError) else exc.__cause__
                 if isinstance(cause, IntegrityError):
                     self._buffer.record_rejection()
@@ -405,13 +385,33 @@ class ViperConsumer:
                     sp.set(outcome="swap_rejected")
                 raise
             if result.record.quarantined:
-                # Never swap a condemned version live, even when a caller
-                # names it explicitly (metadata.latest already skips it).
                 self.viper.freshness.record_stale_rejection(self.name, model_name)
                 raise ServingError(
                     f"version {result.version} of {model_name!r} is "
                     f"quarantined ({result.record.quarantine_reason})"
                 )
+            hop = place(result)
+            self.load_seconds += result.cost.total
+            self._last_model = model_name
+            # Lifecycle: the load and the placement land at the handler's
+            # simulated "now" (already advanced by the load).
+            sim_now = self.viper.handler.sim_now
+            header = result.record.trace_ctx
+            self.viper.lineage.record_header(
+                header, "load", sim_time=sim_now, actor=self.name,
+                sim_seconds=result.cost.total, location=result.location,
+            )
+            self.viper.lineage.record_header(
+                header, hop, sim_time=sim_now, actor=self.name,
+                location=result.location,
+            )
+            sp.set(version=result.version, location=result.location)
+            return result
+
+    def apply_update(self, model_name: str, version: Optional[int] = None) -> LoadResult:
+        """Load a checkpoint and atomically swap it into serving."""
+
+        def swap(result: LoadResult) -> str:
             if result.version <= self._buffer.version:
                 self.viper.freshness.record_stale_rejection(self.name, model_name)
                 raise ServingError(
@@ -425,25 +425,12 @@ class ViperConsumer:
             self._buffer.update(self._spare, result.version)
             self._spare = displaced
             self.updates_applied += 1
-            self.load_seconds += result.cost.total
-            self._last_model = model_name
-            # Lifecycle + freshness: the load and swap land at the
-            # handler's simulated "now" (already advanced by the load).
-            sim_now = self.viper.handler.sim_now
-            header = result.record.trace_ctx
-            self.viper.lineage.record_header(
-                header, "load", sim_time=sim_now, actor=self.name,
-                sim_seconds=result.cost.total, location=result.location,
-            )
-            self.viper.lineage.record_header(
-                header, "swap", sim_time=sim_now, actor=self.name,
-                location=result.location,
-            )
             self.viper.freshness.record_swap(
-                self.name, model_name, result.version, sim_now
+                self.name, model_name, result.version, self.viper.handler.sim_now
             )
-            sp.set(version=result.version, location=result.location)
-            return result
+            return "swap"
+
+        return self._load_checked("apply_update", model_name, version, swap)
 
     # ------------------------------------------------------------------
     # Canary lifecycle (driven by the rollout controller)
@@ -458,42 +445,15 @@ class ViperConsumer:
         Rejects quarantined versions outright; integrity failures follow
         the same swap-rejection accounting as :meth:`apply_update`.
         """
-        with self._lock, self.viper.tracer.span(
-            "consumer.stage_candidate", track="consumer", model=model_name
-        ) as sp:
-            try:
-                result = self.viper.load_weights(model_name, version)
-            except (IntegrityError, RetriesExhausted) as exc:
-                cause = exc if isinstance(exc, IntegrityError) else exc.__cause__
-                if isinstance(cause, IntegrityError):
-                    self._buffer.record_rejection()
-                    self.viper.handler.stats.record_swap_rejected()
-                    sp.set(outcome="swap_rejected")
-                raise
-            if result.record.quarantined:
-                self.viper.freshness.record_stale_rejection(self.name, model_name)
-                raise ServingError(
-                    f"version {result.version} of {model_name!r} is "
-                    f"quarantined ({result.record.quarantine_reason})"
-                )
+
+        def stage(result: LoadResult) -> str:
             if self._canary_model is None:
                 self._canary_model = self._builder()
             self._canary_model.load_state_dict(result.state)
             self._buffer.stage_canary(self._canary_model, result.version)
-            self.load_seconds += result.cost.total
-            self._last_model = model_name
-            sim_now = self.viper.handler.sim_now
-            header = result.record.trace_ctx
-            self.viper.lineage.record_header(
-                header, "load", sim_time=sim_now, actor=self.name,
-                sim_seconds=result.cost.total, location=result.location,
-            )
-            self.viper.lineage.record_header(
-                header, "canary", sim_time=sim_now, actor=self.name,
-                location=result.location,
-            )
-            sp.set(version=result.version, location=result.location)
-            return result
+            return "canary"
+
+        return self._load_checked("stage_candidate", model_name, version, stage)
 
     def canary_snapshot(self) -> Optional[BufferSnapshot]:
         """The staged candidate (model + version), or None when idle."""

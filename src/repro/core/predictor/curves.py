@@ -24,7 +24,6 @@ exactly as the paper selects Exp3 for CANDLE-TC1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -14,7 +14,6 @@ with a custom model of training quality (paper design objective 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.errors import ScheduleError

@@ -236,41 +236,39 @@ class StatsManager:
             self.degraded_entries += 1
         self.metrics.counter("viper_degraded_entries_total").inc()
 
-    def record_wire(
-        self,
-        bytes_total: int,
-        bytes_on_wire: int,
-        *,
-        saved_dedup: int = 0,
-        saved_compression: int = 0,
-        chunks_total: int = 0,
-        chunks_reused: int = 0,
-        delta: bool = False,
-    ) -> None:
-        """One save's wire accounting (delta or monolithic).
+    def record_wire(self, bytes_total: int, bytes_on_wire: int, delta=None) -> None:
+        """One save's wire accounting, once its shipped form is known.
 
         ``bytes_total`` is what the monolithic path would have moved;
-        ``bytes_on_wire`` is what actually moved.  The difference splits
-        into dedup (reuse ops) and compression (codec) savings.
+        ``bytes_on_wire`` is what actually moved.  ``delta`` is the
+        :class:`~repro.core.transfer.delta.DeltaStats` of the frame that
+        shipped (None when the monolithic blob did): its dedup (reuse
+        ops) and compression (codec) savings, counted in real bytes, are
+        rescaled to ``bytes_total``'s units.
         """
+        saved_dedup = saved_compression = 0
+        if delta is not None and delta.bytes_total:
+            scale = bytes_total / delta.bytes_total
+            saved_dedup = int(delta.bytes_reused * scale)
+            saved_compression = int(delta.bytes_saved_compression * scale)
         with self._lock:
             self.bytes_total += int(bytes_total)
             self.bytes_on_wire += int(bytes_on_wire)
-            self.bytes_saved_dedup += int(saved_dedup)
-            self.bytes_saved_compression += int(saved_compression)
-            self.delta_chunks_total += int(chunks_total)
-            self.delta_chunks_reused += int(chunks_reused)
-            if delta:
+            self.bytes_saved_dedup += saved_dedup
+            self.bytes_saved_compression += saved_compression
+            if delta is not None:
+                self.delta_chunks_total += delta.chunks_total
+                self.delta_chunks_reused += delta.chunks_reused
                 self.delta_hits += 1
         self.metrics.counter("viper_bytes_total").inc(int(bytes_total))
         self.metrics.counter("viper_bytes_on_wire_total").inc(int(bytes_on_wire))
         if saved_dedup:
-            self.metrics.counter("viper_bytes_saved_dedup_total").inc(int(saved_dedup))
+            self.metrics.counter("viper_bytes_saved_dedup_total").inc(saved_dedup)
         if saved_compression:
             self.metrics.counter("viper_bytes_saved_compression_total").inc(
-                int(saved_compression)
+                saved_compression
             )
-        if delta:
+        if delta is not None:
             self.metrics.counter("viper_delta_hits_total").inc()
 
     def record_delta_fallback(self, reason: str = "") -> None:
@@ -278,42 +276,6 @@ class StatsManager:
         with self._lock:
             self.delta_fallbacks += 1
         self.metrics.counter("viper_delta_fallbacks_total", reason=reason).inc()
-
-    def revert_wire_savings(
-        self,
-        bytes_total: int,
-        bytes_on_wire: int,
-        *,
-        saved_dedup: int = 0,
-        saved_compression: int = 0,
-        chunks_total: int = 0,
-        chunks_reused: int = 0,
-    ) -> None:
-        """Undo one save's delta savings after staging failed over.
-
-        ``record_wire`` runs optimistically at encode time; when the
-        blob later fails over into the PFS the monolithic form actually
-        ships, so the save's full ``bytes_total`` moved and the recorded
-        dedup/compression savings never happened.  Pass the same values
-        the original ``record_wire`` call saw.
-        """
-        extra = max(0, int(bytes_total) - int(bytes_on_wire))
-        with self._lock:
-            self.bytes_on_wire += extra
-            self.bytes_saved_dedup -= min(int(saved_dedup), self.bytes_saved_dedup)
-            self.bytes_saved_compression -= min(
-                int(saved_compression), self.bytes_saved_compression
-            )
-            self.delta_chunks_total -= min(
-                int(chunks_total), self.delta_chunks_total
-            )
-            self.delta_chunks_reused -= min(
-                int(chunks_reused), self.delta_chunks_reused
-            )
-            if self.delta_hits:
-                self.delta_hits -= 1
-        if extra:
-            self.metrics.counter("viper_bytes_on_wire_total").inc(extra)
 
     # ------------------------------------------------------------------
     def loads_from(self, location: str) -> int:

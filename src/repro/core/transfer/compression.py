@@ -6,7 +6,7 @@ exponent bytes repeat, fine-tuned weights cluster, and optimizer state
 is highly structured.  The delta transfer path
 (:mod:`repro.core.transfer.delta`) therefore compresses the *literal*
 chunks of a recipe (the bytes that actually move) through one of these
-codecs, chosen by ``ViperConfig(compression=...)``.
+codecs, chosen by ``DeltaConfig(compression=...)``.
 
 The registry is deliberately small and dependency-free:
 

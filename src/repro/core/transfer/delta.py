@@ -108,7 +108,7 @@ DEFAULT_DELTA_CHUNK_BYTES = 64 * KB
 
 @dataclass(frozen=True)
 class DeltaConfig:
-    """The delta/compression knob threaded through config -> handler.
+    """The delta/compression knob threaded through Viper -> handler.
 
     ``enabled=False`` (the default) keeps the monolithic path
     byte-for-byte intact; delta transfer is strictly opt-in.

@@ -28,7 +28,9 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union,
+)
 
 import numpy as np
 
@@ -81,11 +83,14 @@ from repro.core.transfer.strategies import (
 
 __all__ = ["UpdateResult", "LoadResult", "ModelWeightsHandler"]
 
-_LOCATION_OF = {
-    TransferStrategy.GPU_TO_GPU: "gpu",
-    TransferStrategy.HOST_TO_HOST: "host_dram",
-    TransferStrategy.PFS: "pfs",
-}
+
+class _Tier(NamedTuple):
+    """One destination tier, in every vocabulary the handler speaks."""
+
+    strategy: TransferStrategy
+    location: str      # ModelRecord.location / replica name
+    cost_key: str      # load_cost_for_location's key
+    store: TierStore
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,7 @@ class ModelWeightsHandler:
         tracer=None,
         metrics=None,
         pipeline: Optional[PipelineConfig] = None,
-        delta: Optional[DeltaConfig] = None,
+        delta: Union[DeltaConfig, bool, None] = None,
         retry_policy: Optional[RetryPolicy] = None,
         failover: bool = True,
         lineage=None,
@@ -174,6 +179,12 @@ class ModelWeightsHandler:
             gpu_staging_budget=consumer.gpu.spec.capacity_bytes // 2,
             host_staging_budget=consumer.dram.spec.capacity_bytes // 2,
         )
+        #: The one strategy <-> location <-> store/cost-key table.
+        self._tiers = (
+            _Tier(TransferStrategy.GPU_TO_GPU, "gpu", "gpu", consumer.gpu),
+            _Tier(TransferStrategy.HOST_TO_HOST, "host_dram", "dram", consumer.dram),
+            _Tier(TransferStrategy.PFS, "pfs", "pfs", cluster.pfs),
+        )
         self.topic = topic
         self.flush_history = flush_history
         self.retention = retention
@@ -188,8 +199,11 @@ class ModelWeightsHandler:
         self.breakers = breakers
         #: Delta/compressed wire path (strictly opt-in; a disabled
         #: manager leaves the monolithic path byte-for-byte intact).
+        #: ``delta`` is a DeltaConfig or a bool (True = the defaults, on).
         self.delta = DeltaManager(
-            delta if delta is not None else DeltaConfig(),
+            delta
+            if isinstance(delta, DeltaConfig)
+            else DeltaConfig(enabled=bool(delta)),
             serializer=self.serializer,
             lanes=self.pipeline.lanes if self.pipeline.enabled else 1,
             tracer=self.tracer,
@@ -227,6 +241,70 @@ class ModelWeightsHandler:
         if cp is not None:
             cp.reached(site)
 
+    def _tier(self, key: Union[TransferStrategy, str]) -> _Tier:
+        """The tier row for a strategy or a metadata location."""
+        for tier in self._tiers:
+            if key is tier.strategy or key == tier.location:
+                return tier
+        raise TransferError(f"unknown checkpoint location {key!r}")
+
+    def _walk(
+        self, hops: Iterable[Tuple[str, Any]], attempt: Callable[[Any], Any]
+    ) -> Optional[Tuple[Any, Any, float]]:
+        """Run ``attempt(target)`` at each ``(site, target)`` hop in order.
+
+        A hop whose breaker is open is skipped without burning its retry
+        budget; every other hop gets the full budget and reports the
+        outcome to its breaker.  Returns ``(target, value, backoff)`` for
+        the first hop that succeeds, ``backoff`` being the simulated
+        seconds actually waited on the way, or None when ``hops`` was
+        empty.  Otherwise raises the last
+        :class:`~repro.errors.RetriesExhausted` when any hop was tried,
+        else :class:`~repro.errors.CircuitOpenError` naming the first
+        refused hop with the soonest probe time among the refused.
+        """
+        backoff = 0.0
+        last: Optional[RetriesExhausted] = None
+        refused: List[str] = []
+        for site, target in hops:
+            if self.breakers is not None and not self.breakers.allow(
+                site, self.sim_now
+            ):
+                refused.append(site)
+                continue
+            try:
+                outcome = execute_with_retry(
+                    lambda t=target: attempt(t),
+                    self.retry_policy,
+                    site=site,
+                    rng=self._retry_rng,
+                    tracer=self.tracer,
+                    metrics=self.metrics,
+                    on_retry=lambda s, _a, _e: self.stats.record_retry(s),
+                )
+            except RetriesExhausted as exc:
+                if self.breakers is not None:
+                    self.breakers.failure(site, self.sim_now)
+                backoff += exc.backoff_seconds
+                last = exc
+                continue
+            if self.breakers is not None:
+                self.breakers.success(site, self.sim_now)
+            return target, outcome.value, backoff + outcome.backoff_seconds
+        if last is not None:
+            raise last
+        if refused:
+            # Nothing was attempted, so nothing should retry: fail fast
+            # and distinctly with the soonest probe hint.
+            raise CircuitOpenError(
+                f"open circuits at {', '.join(refused)}",
+                site=refused[0],
+                retry_after=min(
+                    self.breakers.retry_after(s, self.sim_now) for s in refused
+                ),
+            )
+        return None
+
     # ------------------------------------------------------------------
     # Simulated wall clock for metadata timestamps
     # ------------------------------------------------------------------
@@ -248,13 +326,6 @@ class ModelWeightsHandler:
             v = self._versions.get(model_name, 0) + 1
             self._versions[model_name] = v
             return v
-
-    def _dest_store(self, strategy: TransferStrategy) -> TierStore:
-        if strategy is TransferStrategy.GPU_TO_GPU:
-            return self.consumer.gpu
-        if strategy is TransferStrategy.HOST_TO_HOST:
-            return self.consumer.dram
-        return self.cluster.pfs
 
     def save_weights(
         self,
@@ -330,7 +401,7 @@ class ModelWeightsHandler:
             # Delta encode before the timing law: the law's wire terms
             # scale to what actually moves.  Digest/codec CPU is a real
             # (wall-clock) producer cost; the simulated law scales bytes.
-            wire_blob: Union[bytes, bytearray] = blob
+            frame: Optional[bytes] = None
             dstats: Optional[DeltaStats] = None
             if self.delta.enabled and chosen is TransferStrategy.PFS:
                 # The durable root always ships the self-contained blob;
@@ -346,9 +417,7 @@ class ModelWeightsHandler:
                     frame, dstats = self.delta.encode_for_save(
                         model_name, ver, blob, state=state, piece_lengths=lengths
                     )
-                    if frame is not None:
-                        wire_blob = frame
-                    elif had_base:
+                    if frame is None and had_base:
                         # A base was negotiated but the recipe lost
                         # (fully-changed or incompressible payload).
                         self.stats.record_delta_fallback("encode")
@@ -358,21 +427,6 @@ class ModelWeightsHandler:
                         dedup_ratio=round(dstats.dedup_hit_ratio, 4),
                     )
             wire_scale = dstats.wire_fraction if dstats is not None else 1.0
-            # Wire accounting in virtual (paper-scale) bytes, matching
-            # every other byte counter in the stats snapshot.
-            wire_virtual = max(1, int(round(vbytes * wire_scale)))
-            scale_v = vbytes / dstats.bytes_total if dstats is not None and dstats.bytes_total else 0.0
-            self.stats.record_wire(
-                vbytes,
-                wire_virtual,
-                saved_dedup=int(dstats.bytes_reused * scale_v) if dstats else 0,
-                saved_compression=(
-                    int(dstats.bytes_saved_compression * scale_v) if dstats else 0
-                ),
-                chunks_total=dstats.chunks_total if dstats else 0,
-                chunks_reused=dstats.chunks_reused if dstats else 0,
-                delta=wire_blob is not blob,
-            )
             timings = compute_timings(
                 self.profile, self.serializer, chosen, mode, vbytes, vtensors,
                 pipeline=self.pipeline, wire_scale=wire_scale,
@@ -380,9 +434,7 @@ class ModelWeightsHandler:
             result = self._stage_and_publish(
                 model_name, blob, chosen, mode, timings, ver, vbytes,
                 vtensors, train_iteration, train_loss, ctx=ctx,
-                wire_blob=wire_blob,
-                wire_virtual=wire_virtual if wire_blob is not blob else 0,
-                dstats=dstats,
+                frame=frame, dstats=dstats,
             )
             sp.set(sim_stall=result.stall.total, sim_background=result.background.total)
         self.metrics.counter(
@@ -392,122 +444,6 @@ class ModelWeightsHandler:
             "handler_save_stall_sim_seconds", strategy=chosen.value
         ).observe(result.stall.total)
         return result
-
-    def _stage_once(
-        self,
-        key: str,
-        blob: bytes,
-        strategy: TransferStrategy,
-        wire: int,
-        vtensors: int,
-        ver: int,
-        wire_blob: Optional[bytes] = None,
-        wire_virtual: int = 0,
-    ) -> Cost:
-        """One staging attempt: put the wire form into the strategy's tier.
-
-        Volatile tiers (GPU/host) receive the delta frame when one was
-        encoded; the PFS — the crash-recovery root — always receives the
-        self-contained monolithic blob, so durability never depends on a
-        consumer-held base surviving a restart.
-        """
-        if wire_blob is not None and strategy is not TransferStrategy.PFS:
-            return self._dest_store(strategy).put(
-                key, wire_blob, virtual_bytes=wire_virtual,
-                nobjects=vtensors, version=ver,
-            )
-        return self._dest_store(strategy).put(
-            key, blob, virtual_bytes=wire, nobjects=vtensors, version=ver
-        )
-
-    def _stage_resilient(
-        self,
-        key: str,
-        blob: bytes,
-        chosen: TransferStrategy,
-        wire: int,
-        vtensors: int,
-        ver: int,
-        wire_blob: Optional[bytes] = None,
-        wire_virtual: int = 0,
-    ) -> Tuple[TransferStrategy, float]:
-        """Stage with retries, failing over down the strategy chain.
-
-        Each strategy gets the full retry budget; when it is exhausted the
-        next (slower, more reliable) strategy in the paper's GPU -> HOST
-        -> PFS chain takes over.  Returns the strategy that actually holds
-        the blob plus the simulated backoff seconds spent, or raises the
-        terminal :class:`~repro.errors.RetriesExhausted` when even the PFS
-        rejected every attempt.
-        """
-        chain = failover_chain(chosen) if self.failover else (chosen,)
-        last: Optional[RetriesExhausted] = None
-        skipped_open = 0
-        backoff = 0.0
-        for i, strat in enumerate(chain):
-            site = f"stage.{strat.value}"
-            if self.breakers is not None and not self.breakers.allow(
-                site, self.sim_now
-            ):
-                # The breaker remembers this site's last exhaustion:
-                # skip straight to the next strategy instead of burning
-                # the full retry budget against a tier that is down.
-                skipped_open += 1
-                if i + 1 < len(chain):
-                    self.stats.record_failover(strat.value, chain[i + 1].value)
-                continue
-            try:
-                outcome = execute_with_retry(
-                    lambda s=strat: self._stage_once(
-                        key, blob, s, wire, vtensors, ver,
-                        wire_blob=wire_blob, wire_virtual=wire_virtual,
-                    ),
-                    self.retry_policy,
-                    site=site,
-                    rng=self._retry_rng,
-                    tracer=self.tracer,
-                    metrics=self.metrics,
-                    on_retry=lambda site, _a, _e: self.stats.record_retry(site),
-                )
-                if self.breakers is not None:
-                    self.breakers.success(site, self.sim_now)
-                return strat, backoff + outcome.backoff_seconds
-            except RetriesExhausted as exc:
-                last = exc
-                if self.breakers is not None:
-                    self.breakers.failure(site, self.sim_now)
-                # The exhausted scope's backoff (un-jittered estimate; the
-                # exception does not carry the drawn delays).
-                backoff += sum(
-                    self.retry_policy.delay_for(a)
-                    for a in range(1, self.retry_policy.max_attempts)
-                )
-                if i + 1 < len(chain):
-                    nxt = chain[i + 1]
-                    self.stats.record_failover(strat.value, nxt.value)
-                    with self.tracer.span(
-                        "handler.failover",
-                        track="engine",
-                        src=strat.value,
-                        dst=nxt.value,
-                        key=key,
-                    ):
-                        pass
-        if last is None:
-            # Every strategy in the chain was skipped by an open breaker:
-            # fail fast with the soonest retry hint, not RetriesExhausted
-            # (nothing was actually attempted, so nothing should retry).
-            assert skipped_open and self.breakers is not None
-            raise CircuitOpenError(
-                f"all {skipped_open} staging strategies have open circuits "
-                f"for {key!r}",
-                site=f"stage.{chain[0].value}",
-                retry_after=min(
-                    self.breakers.retry_after(f"stage.{s.value}", self.sim_now)
-                    for s in chain
-                ),
-            )
-        raise last
 
     def _stage_and_publish(
         self,
@@ -522,18 +458,17 @@ class ModelWeightsHandler:
         train_iteration: int,
         train_loss: float,
         ctx: Optional[TraceContext] = None,
-        wire_blob: Optional[bytes] = None,
-        wire_virtual: int = 0,
+        frame: Optional[bytes] = None,
         dstats: Optional[DeltaStats] = None,
     ) -> UpdateResult:
         key = f"{model_name}/v{ver}"
         header = ctx.to_header() if ctx is not None else ""
-        if wire_blob is None:
-            wire_blob = blob
-        # The PFS stages the monolithic blob even when a frame was
-        # encoded, so a PFS-resident record always moves full bytes.
-        frame_shipped = (
-            wire_blob is not blob and chosen is not TransferStrategy.PFS
+        # The frame's size in virtual (paper-scale) bytes, matching every
+        # other byte counter; 0 when the monolithic blob ships.
+        wire_virtual = (
+            max(1, int(round(vbytes * dstats.wire_fraction)))
+            if frame is not None
+            else 0
         )
         # Optimistic record: the producer's stall was paid for ``chosen``
         # regardless of any later failover, so created_at advances now.
@@ -541,7 +476,7 @@ class ModelWeightsHandler:
             model_name=model_name,
             version=ver,
             nbytes=vbytes,
-            location=_locname(chosen),
+            location=self._tier(chosen).location,
             path=key,
             ntensors=vtensors,
             durable=(chosen is TransferStrategy.PFS),
@@ -549,7 +484,7 @@ class ModelWeightsHandler:
             train_iteration=train_iteration,
             train_loss=train_loss,
             trace_ctx=header,
-            wire_bytes=wire_virtual if frame_shipped else 0,
+            wire_bytes=wire_virtual,
         )
         if ctx is not None:
             self.lineage.record(
@@ -562,20 +497,44 @@ class ModelWeightsHandler:
                 nbytes=vbytes,
             )
 
-        wire = self.serializer.wire_bytes(vbytes)
+        def put(strategy: TransferStrategy) -> Cost:
+            # Volatile tiers receive the delta frame when one was encoded;
+            # the PFS — the crash-recovery root — always receives the
+            # self-contained blob, so durability never depends on a
+            # consumer-held base surviving a restart.
+            ships_frame = frame is not None and strategy is not TransferStrategy.PFS
+            return self._tier(strategy).store.put(
+                key,
+                frame if ships_frame else blob,
+                virtual_bytes=self.serializer.wire_bytes(
+                    wire_virtual if ships_frame else vbytes
+                ),
+                nobjects=vtensors,
+                version=ver,
+            )
 
         def _deliver() -> Tuple[TransferStrategy, ModelRecord, StrategyTimings, Cost]:
             with self.tracer.span(
                 "handler.publish", track="engine", key=key, version=ver
             ):
-                final, backoff = self._stage_resilient(
-                    key, blob, chosen, wire, vtensors, ver,
-                    wire_blob=wire_blob if frame_shipped else None,
-                    wire_virtual=(
-                        self.serializer.wire_bytes(wire_virtual)
-                        if frame_shipped
-                        else 0
-                    ),
+                chain = failover_chain(chosen) if self.failover else (chosen,)
+
+                def hops():
+                    # Down the paper's GPU -> HOST -> PFS chain; the walk
+                    # asks for the next hop only when it moves on.
+                    for i, strat in enumerate(chain):
+                        if i:
+                            self.stats.record_failover(chain[i - 1].value, strat.value)
+                        yield f"stage.{strat.value}", strat
+
+                final, _, backoff = self._walk(hops(), put)
+                shipped = frame is not None and final is not TransferStrategy.PFS
+                if frame is not None and not shipped:
+                    self.stats.record_delta_fallback("failover")
+                self.stats.record_wire(
+                    vbytes,
+                    wire_virtual if shipped else vbytes,
+                    dstats if shipped else None,
                 )
                 # Kill point: blob staged, metadata not yet journaled.
                 # Recovery must not invent a version the journal never saw.
@@ -585,43 +544,13 @@ class ModelWeightsHandler:
                 else:
                     # Failover changed where the checkpoint lives: the
                     # published metadata and the deliver/load laws follow
-                    # the strategy that actually succeeded.  A failover
-                    # into the PFS ships the monolithic blob, so the
-                    # record's wire accounting reverts with it.
-                    frame_final = (
-                        frame_shipped and final is not TransferStrategy.PFS
-                    )
-                    if frame_shipped and not frame_final:
-                        # The PFS failover shipped the monolithic blob:
-                        # the optimistic record_wire savings never
-                        # happened, so the stats counters revert with
-                        # the record's wire accounting.
-                        scale_v = (
-                            vbytes / dstats.bytes_total
-                            if dstats is not None and dstats.bytes_total
-                            else 0.0
-                        )
-                        self.stats.revert_wire_savings(
-                            vbytes,
-                            wire_virtual,
-                            saved_dedup=(
-                                int(dstats.bytes_reused * scale_v)
-                                if dstats else 0
-                            ),
-                            saved_compression=(
-                                int(dstats.bytes_saved_compression * scale_v)
-                                if dstats else 0
-                            ),
-                            chunks_total=dstats.chunks_total if dstats else 0,
-                            chunks_reused=dstats.chunks_reused if dstats else 0,
-                        )
-                        self.stats.record_delta_fallback("failover")
+                    # the strategy that actually succeeded.
                     rec = replace(
                         record,
-                        location=_locname(final),
+                        location=self._tier(final).location,
                         durable=(final is TransferStrategy.PFS),
                         replicas=(),
-                        wire_bytes=wire_virtual if frame_final else 0,
+                        wire_bytes=wire_virtual if shipped else 0,
                     )
                     fin = compute_timings(
                         self.profile, self.serializer, final, mode,
@@ -707,7 +636,7 @@ class ModelWeightsHandler:
         job = TransferJob(
             description=f"save {key} via {chosen.value}",
             action=lambda: _deliver()[3],
-            nbytes=wire_virtual if frame_shipped else vbytes,
+            nbytes=wire_virtual or vbytes,
         )
         self.engine.submit(job)
         return UpdateResult(
@@ -746,85 +675,31 @@ class ModelWeightsHandler:
             else:
                 record, meta_cost = self.metadata.record(model_name, version)
             candidates = self.stats.order(record.replicas)
-            chosen = None
-            state = None
-            used_delta = False
-            backoff = 0.0
-            last_exc: Optional[RetriesExhausted] = None
-            skipped_open = 0
-            for location in candidates:
-                store = self._store_for_location(location)
-                if record.path not in store:
-                    continue
-                site = f"load.{location}"
-                if self.breakers is not None and not self.breakers.allow(
-                    site, self.sim_now
-                ):
-                    # This tier's breaker is open — its last loads burned
-                    # the full retry budget and failed.  Fall through to
-                    # the next-cheapest replica without re-proving it.
-                    skipped_open += 1
-                    continue
-                # Fetch + verify + deserialize is one retryable unit: a
-                # corrupted read (checksum mismatch -> IntegrityError) is
-                # re-requested from the same replica, and a permanently
-                # corrupt replica falls through to the next (slower, more
-                # durable) one.  Only a fully-verified state dict ever
-                # reaches the caller's double buffer.
-                try:
-                    outcome = execute_with_retry(
-                        lambda s=store, loc=location: self._fetch_once(
-                            s, record, loc
-                        ),
-                        self.retry_policy,
-                        site=site,
-                        rng=self._retry_rng,
-                        tracer=self.tracer,
-                        metrics=self.metrics,
-                        on_retry=lambda site, _a, _e: self.stats.record_retry(site),
-                    )
-                except RetriesExhausted as exc:
-                    last_exc = exc
-                    if self.breakers is not None:
-                        self.breakers.failure(site, self.sim_now)
-                    backoff += sum(
-                        self.retry_policy.delay_for(a)
-                        for a in range(1, self.retry_policy.max_attempts)
-                    )
-                    continue
-                if self.breakers is not None:
-                    self.breakers.success(site, self.sim_now)
-                state, used_delta = outcome.value
-                backoff += outcome.backoff_seconds
-                chosen = location
-                break
-            if chosen is None or state is None:
-                if last_exc is not None:
-                    raise last_exc
-                if skipped_open:
-                    # Replicas exist but every holding tier's circuit is
-                    # open: fail fast, and distinctly — the caller can
-                    # serve last-known-good and retry after the hint.
-                    raise CircuitOpenError(
-                        f"all {skipped_open} replica tiers of "
-                        f"{record.path!r} have open circuits",
-                        site=f"load.{candidates[0]}",
-                        retry_after=min(
-                            self.breakers.retry_after(
-                                f"load.{loc}", self.sim_now
-                            )
-                            for loc in candidates
-                        ),
-                    )
+            # Fetch + verify + deserialize is one retryable unit: a
+            # corrupted read (checksum mismatch -> IntegrityError) is
+            # re-requested from the same replica, and a permanently corrupt
+            # replica falls through to the next (slower, more durable) one.
+            # Only a fully-verified state dict ever reaches the caller's
+            # double buffer.
+            walked = self._walk(
+                (
+                    (f"load.{loc}", loc)
+                    for loc in candidates
+                    if record.path in self._tier(loc).store
+                ),
+                lambda loc: self._fetch_once(record, loc),
+            )
+            if walked is None:
                 self.stats.record_miss()
                 raise ObjectNotFoundError(
                     f"no replica of {record.path!r} present in any of "
                     f"{candidates} (evicted before load?)"
                 )
+            chosen, (state, used_delta), backoff = walked
             cost = meta_cost + load_cost_for_location(
                 self.profile,
                 self.serializer,
-                _strategy_key(chosen),
+                self._tier(chosen).cost_key,
                 record.nbytes,
                 record.ntensors,
                 pipeline=self.pipeline,
@@ -844,7 +719,7 @@ class ModelWeightsHandler:
             )
 
     def _fetch_once(
-        self, store: TierStore, record: ModelRecord, location: str
+        self, record: ModelRecord, location: str
     ) -> Tuple[Dict[str, np.ndarray], bool]:
         """One fetch attempt: read, reconstruct (delta), deserialize.
 
@@ -860,7 +735,7 @@ class ModelWeightsHandler:
         with self.tracer.span(
             "handler.fetch", track="consumer", location=location
         ):
-            blob, _store_cost = store.get(record.path)
+            blob, _store_cost = self._tier(location).store.get(record.path)
         used_delta = False
         if is_delta_frame(blob):
             with self.tracer.span(
@@ -897,15 +772,6 @@ class ModelWeightsHandler:
             # base — corrupt reconstructions can never poison a diff.
             self.delta.register_loaded(record.model_name, record.version, blob)
         return state, used_delta
-
-    def _store_for_location(self, location: str) -> TierStore:
-        if location == "gpu":
-            return self.consumer.gpu
-        if location == "host_dram":
-            return self.consumer.dram
-        if location == "pfs":
-            return self.cluster.pfs
-        raise TransferError(f"unknown checkpoint location {location!r}")
 
     # ------------------------------------------------------------------
     # Crash recovery
@@ -962,7 +828,7 @@ class ModelWeightsHandler:
                     for location in rec.replicas:
                         if location == "pfs":
                             continue
-                        store = self._store_for_location(location)
+                        store = self._tier(location).store
                         if rec.path in store:
                             blob, _ = store.get(rec.path)
                             break
@@ -994,11 +860,3 @@ class ModelWeightsHandler:
         self.engine.stop()
         self.flusher.stop()
 
-
-def _locname(strategy: TransferStrategy) -> str:
-    return _LOCATION_OF[strategy]
-
-
-def _strategy_key(location: str) -> str:
-    """Map a metadata location back to the load-cost key."""
-    return {"gpu": "gpu", "host_dram": "dram", "pfs": "pfs"}[location]

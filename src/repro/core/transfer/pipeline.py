@@ -19,7 +19,7 @@ The matching *simulated* law lives in
 :meth:`repro.substrates.network.links.LinkSpec.pipelined_transfer_time`
 and :func:`repro.core.transfer.strategies.compute_timings` (``pipeline=``
 argument); :class:`PipelineConfig` is the single knob object threaded
-through :class:`~repro.config.ViperConfig`, the strategies, and the
+through ``Viper(pipeline=...)``, the strategies, and the
 :class:`~repro.core.transfer.handler.ModelWeightsHandler`.
 
 Chunking helps when the payload is large relative to per-chunk setup
@@ -62,7 +62,7 @@ DEFAULT_CHUNK_BYTES = 256 * MB
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The pipeline knob threaded through config -> strategies -> handler.
+    """The pipeline knob threaded through Viper -> strategies -> handler.
 
     ``enabled=False`` (the default) keeps the original monolithic path
     byte-for-byte intact; the pipeline is strictly opt-in.

@@ -80,13 +80,22 @@ class RetriesExhausted(TransferError):
 
     Never itself retried: the retry executor re-raises it immediately so
     nested retry scopes (engine around handler around store) cannot
-    multiply attempt budgets.
+    multiply attempt budgets.  ``backoff_seconds`` is the simulated
+    backoff actually waited: the delays that preceded attempts that ran.
     """
 
-    def __init__(self, message: str, *, site: str = "", attempts: int = 0):
+    def __init__(
+        self,
+        message: str,
+        *,
+        site: str = "",
+        attempts: int = 0,
+        backoff_seconds: float = 0.0,
+    ):
         super().__init__(message)
         self.site = site
         self.attempts = int(attempts)
+        self.backoff_seconds = float(backoff_seconds)
 
 
 class CircuitOpenError(ViperError):

@@ -372,7 +372,7 @@ class FaultPlan:
         self.disarm()
 
     # ------------------------------------------------------------------
-    # Serialization (ViperConfig carries plans as plain dicts)
+    # Serialization (plans round-trip through plain dicts, e.g. JSON)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -171,6 +171,7 @@ def execute_with_retry(
             f"after {attempts} attempt(s), {elapsed_total:.6f}s elapsed",
             site=site,
             attempts=attempts,
+            backoff_seconds=backoff_total,
         )
         if errors:
             exc.__cause__ = errors[-1]
@@ -228,15 +229,16 @@ def execute_with_retry(
         assert failure is not None  # the success branch returned above
         errors.append(failure)
         if attempt < policy.max_attempts:
-            backoff_total += policy.delay_for(attempt, rng)
-            elapsed_total = backoff_total
+            elapsed_total = backoff_total + policy.delay_for(attempt, rng)
             if (
                 policy.total_deadline is not None
                 and elapsed_total > policy.total_deadline
             ):
-                # Backoff alone has burned the whole-operation budget:
-                # stop early instead of sleeping past the deadline.
+                # Backoff alone would burn the whole-operation budget:
+                # stop early instead of sleeping past the deadline (the
+                # delay never ran, so it is not charged).
                 raise _exhaust_total(attempt)
+            backoff_total = elapsed_total
             metrics.counter("resilience_retries_total", site=site).inc()
             if on_retry is not None:
                 on_retry(site, attempt, failure)
@@ -246,4 +248,5 @@ def execute_with_retry(
         f"(last: {errors[-1]!r})",
         site=site,
         attempts=policy.max_attempts,
+        backoff_seconds=backoff_total,
     ) from errors[-1]

@@ -9,8 +9,6 @@ cluster.cluster.Cluster`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ConfigurationError
 from repro.substrates.cost import Cost
 from repro.substrates.memory.storage import EvictionPolicy, TierStore

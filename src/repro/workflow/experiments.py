@@ -19,7 +19,6 @@ These functions glue the pieces into the paper's experiments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np

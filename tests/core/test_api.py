@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import CaptureMode, Viper
+from repro.core.transfer.delta import DeltaConfig
 from repro.errors import ServingError
 from repro.dnn.layers import Dense
 from repro.dnn.models import Sequential
@@ -44,17 +45,19 @@ class TestViperFacade:
 
 class TestDeltaKnobs:
     def test_compression_none_keeps_delta_off(self):
-        # Regression: an explicit compression="none" must read as
-        # "unset", not as opting the deployment into the delta path.
-        with Viper(compression="none") as viper:
-            assert not viper.handler.delta.enabled
+        # Naming a codec never opts a deployment into the delta path;
+        # only DeltaConfig.enabled does.
+        for codec in ("none", "zlib"):
+            with Viper(delta=DeltaConfig(compression=codec)) as viper:
+                assert not viper.handler.delta.enabled
 
     def test_compression_codec_enables_delta(self):
-        with Viper(compression="zlib") as viper:
+        with Viper(delta=DeltaConfig(enabled=True, compression="zlib")) as viper:
             assert viper.handler.delta.enabled
+            assert viper.handler.delta.config.compression == "zlib"
 
     def test_delta_true_with_compression_none(self):
-        with Viper(delta=True, compression="none") as viper:
+        with Viper(delta=True) as viper:
             assert viper.handler.delta.enabled
             assert viper.handler.delta.config.compression == "none"
 

@@ -6,6 +6,7 @@ import pytest
 from repro import CaptureMode, TransferStrategy, Viper
 from repro.errors import ObjectNotFoundError
 from repro.core.stats import LOCATION_RANK, StatsManager
+from repro.core.transfer.delta import DeltaStats
 from repro.dnn.layers import Dense
 from repro.dnn.models import Sequential
 
@@ -39,25 +40,23 @@ class TestStatsManager:
         assert snap["gpu"].bytes_loaded == 300
         assert snap["gpu"].seconds == pytest.approx(0.75)
 
-    def test_revert_wire_savings_restores_monolithic_accounting(self):
-        # Regression: a PFS failover ships the monolithic blob after the
-        # delta savings were optimistically recorded — the revert must
-        # leave the counters as if the save had never gone delta.
+    def test_record_wire_rescales_delta_savings(self):
+        # A frame's savings are counted in real bytes; the save's
+        # accounting is in virtual (paper-scale) bytes, 10x here.
         stats = StatsManager()
-        stats.record_wire(100, 100)
-        stats.record_wire(100, 30, saved_dedup=60, saved_compression=10,
-                          chunks_total=10, chunks_reused=6, delta=True)
-        stats.revert_wire_savings(100, 30, saved_dedup=60,
-                                  saved_compression=10,
-                                  chunks_total=10, chunks_reused=6)
+        stats.record_wire(1000, 1000)
+        frame = DeltaStats(mode="delta", bytes_total=100, bytes_on_wire=30,
+                           bytes_reused=60, bytes_saved_compression=10,
+                           chunks_total=10, chunks_reused=6)
+        stats.record_wire(1000, 300, frame)
         snap = stats.snapshot()
-        assert snap.bytes_total == 200
-        assert snap.bytes_on_wire == 200
-        assert snap.bytes_saved_dedup == 0
-        assert snap.bytes_saved_compression == 0
-        assert snap.delta_chunks_total == 0
-        assert snap.delta_chunks_reused == 0
-        assert snap.delta_hits == 0
+        assert snap.bytes_total == 2000
+        assert snap.bytes_on_wire == 1300
+        assert snap.bytes_saved_dedup == 600
+        assert snap.bytes_saved_compression == 100
+        assert snap.delta_chunks_total == 10
+        assert snap.delta_chunks_reused == 6
+        assert snap.delta_hits == 1
 
     def test_summary_renders(self):
         stats = StatsManager()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import CaptureMode, TransferStrategy, Viper
+from repro.core.transfer.delta import DeltaConfig
 
 
 def fleet_state(seed=0, n=8, shape=(64, 32)):
@@ -98,7 +99,7 @@ class TestDeltaEndToEnd:
         # No base exists for version 1, but a codec still shrinks the
         # wire: an all-literal compressed frame ships when it wins.
         state = {"z": np.zeros((256, 256), dtype=np.float32)}
-        with Viper(compression="zlib") as viper:
+        with Viper(delta=DeltaConfig(enabled=True, compression="zlib")) as viper:
             result = viper.save_weights(
                 "m", state, mode=CaptureMode.SYNC,
                 strategy=TransferStrategy.HOST_TO_HOST,

@@ -1,83 +1,125 @@
-"""Declarative configuration tests."""
+"""Deployment configuration: ``Viper(...)`` keywords and the policy objects.
 
+A deployment is described by ``Viper``'s keywords, with one nested policy
+object per subsystem (``PipelineConfig``, ``DeltaConfig``, ``RetryPolicy``,
+``BreakerConfig``).  These tests pin that the keywords reach the live
+components and that a bad value fails at construction, before a
+deployment exists.
+"""
+
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.config import ViperConfig
-from repro.core.transfer.strategies import CaptureMode, TransferStrategy
+from repro import CaptureMode, TransferStrategy, Viper
+from repro.core.transfer.delta import DeltaConfig
+from repro.core.transfer.pipeline import PipelineConfig
+from repro.core.transfer.selector import TransferSelector
 from repro.dnn.serialization import H5LikeSerializer, ViperSerializer
+from repro.errors import ConfigurationError
+from repro.resilience.breaker import BreakerConfig
+from repro.resilience.retry import RetryPolicy
 from repro.substrates.profiles import LAPTOP, POLARIS
+
+STATE = {"w": np.arange(16, dtype=np.float32).reshape(4, 4)}
+
+#: ``Viper`` keyword -> the policy object that carries its settings.
+POLICIES = {
+    "pipeline": PipelineConfig,
+    "delta": DeltaConfig,
+    "retry_policy": RetryPolicy,
+    "breaker": BreakerConfig,
+}
+
+
+def viper_kwargs(spec):
+    """``Viper`` keywords from ``spec``, a policy's settings given as a dict."""
+    return {
+        k: POLICIES[k](**v) if isinstance(v, dict) else v for k, v in spec.items()
+    }
 
 
 class TestViperConfig:
     def test_defaults(self):
-        cfg = ViperConfig()
-        assert cfg.hardware() is POLARIS
-        assert isinstance(cfg.make_serializer(), ViperSerializer)
-        assert cfg.capture_mode() is CaptureMode.ASYNC
-        assert cfg.transfer_strategy() is None
+        with Viper() as viper:
+            assert viper.profile is POLARIS
+            assert isinstance(viper.handler.serializer, ViperSerializer)
+            assert viper.handler.selector.forced is None
+            result = viper.save_weights("m", STATE)
+            assert result.mode is CaptureMode.ASYNC
+            viper.drain()
 
     def test_laptop_profile(self):
-        assert ViperConfig(profile="laptop").hardware() is LAPTOP
+        with Viper(LAPTOP) as viper:
+            assert viper.profile is LAPTOP
+            assert viper.handler.profile is LAPTOP
 
     def test_h5_serializer(self):
-        assert isinstance(
-            ViperConfig(serializer="h5py").make_serializer(), H5LikeSerializer
-        )
+        serializer = H5LikeSerializer()
+        with Viper(serializer=serializer) as viper:
+            assert viper.handler.serializer is serializer
 
     def test_sync_mode(self):
-        assert ViperConfig(mode="sync").capture_mode() is CaptureMode.SYNC
+        with Viper() as viper:
+            result = viper.save_weights("m", STATE, mode=CaptureMode.SYNC)
+            assert result.mode is CaptureMode.SYNC
 
     def test_strategy_resolution(self):
-        assert (
-            ViperConfig(strategy="gpu").transfer_strategy()
-            is TransferStrategy.GPU_TO_GPU
-        )
+        pinned = TransferSelector(forced=TransferStrategy("host"))
+        with Viper(selector=pinned) as viper:
+            result = viper.save_weights("m", STATE, mode=CaptureMode.SYNC)
+            assert result.strategy is TransferStrategy.HOST_TO_HOST
+            assert result.record.location == "host_dram"
 
     def test_roundtrip_via_dict(self):
-        cfg = ViperConfig(profile="laptop", strategy="pfs", mode="sync")
-        again = ViperConfig.from_dict(cfg.to_dict())
-        assert again == cfg
+        for policy in (
+            DeltaConfig(enabled=True, compression="zlib"),
+            RetryPolicy(max_attempts=5, total_deadline=1.0),
+            BreakerConfig(failure_threshold=2, reset_timeout=3.0),
+        ):
+            assert type(policy)(**dataclasses.asdict(policy)) == policy
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"profile": "summit"},
-            {"serializer": "pickle"},
-            {"mode": "turbo"},
-            {"strategy": "carrier-pigeon"},
-            {"poll_interval": -1.0},
-            {"recover": True},                      # requires journal_dir
-            {"notify_queue_max": -1},
-            {"staleness_deadline": 0.0},
+            {"recover": True},                      # requires a journal
+            {"pipeline": {"lanes": 0}},
+            {"delta": {"compression": "bogus"}},
+            {"delta": {"chunk_bytes": 0}},
+            {"retry_policy": {"max_attempts": 0}},
+            {"retry_policy": {"attempt_deadline": 2.0, "total_deadline": 1.0}},
+            {"breaker": {"failure_threshold": 0}},
+            {"lease_ttl": 0.0},
         ],
     )
     def test_invalid_values(self, kwargs):
         with pytest.raises(ConfigurationError):
-            ViperConfig(**kwargs)
+            Viper(**viper_kwargs(kwargs))
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ViperConfig.from_dict({"profil": "polaris"})
+        # One spelling per knob: the codec lives on DeltaConfig only.
+        with pytest.raises(TypeError):
+            Viper(compression="zlib")
 
     def test_pipeline_defaults_off(self):
-        cfg = ViperConfig()
-        assert cfg.pipeline is False
-        assert cfg.pipeline_config().enabled is False
+        with Viper() as viper:
+            assert viper.handler.pipeline.enabled is False
 
     def test_pipeline_config_resolution(self):
-        cfg = ViperConfig(pipeline=True, pipeline_chunk_bytes=1024, pipeline_lanes=4)
-        pipe = cfg.pipeline_config()
-        assert pipe.enabled and pipe.chunk_bytes == 1024 and pipe.lanes == 4
+        pipe = PipelineConfig(enabled=True, chunk_bytes=1024, lanes=4)
+        with Viper(pipeline=pipe) as viper:
+            assert viper.handler.pipeline is pipe
+            assert viper.handler.delta.lanes == 4
 
     def test_pipeline_roundtrip_via_dict(self):
-        cfg = ViperConfig(pipeline=True, pipeline_chunk_bytes=2048, pipeline_lanes=3)
-        assert ViperConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = PipelineConfig(enabled=True, chunk_bytes=2048, lanes=3)
+        assert PipelineConfig(**dataclasses.asdict(cfg)) == cfg
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"pipeline_chunk_bytes": 0}, {"pipeline_chunk_bytes": -5}, {"pipeline_lanes": 0}],
+        [{"chunk_bytes": 0}, {"chunk_bytes": -5}, {"lanes": 0}],
     )
     def test_pipeline_invalid_values(self, kwargs):
         with pytest.raises(ConfigurationError):
-            ViperConfig(**kwargs)
+            PipelineConfig(**kwargs)
