@@ -5,8 +5,9 @@
 install:
 	pip install -e . || python setup.py develop
 
+# Tier-1; --durations keeps the slowest tests visible against the 90 s budget.
 test:
-	PYTHONPATH=src python -m pytest -x -q
+	PYTHONPATH=src python -m pytest -x -q --durations=10
 
 # Mirrors CI's lint job (requires: pip install -r requirements-dev.txt).
 lint:
@@ -15,7 +16,8 @@ lint:
 	mypy src/repro
 
 # The stdlib-only part of the lint gate, runnable without ruff/mypy:
-# byte-compile every module and fail on unused imports.
+# byte-compile every module and fail on unused imports, bare excepts,
+# mutable default arguments and duplicate definitions.
 lint-local:
 	python -m compileall -q src
 	PYTHONPATH=src python -m pytest -q tests/test_lint_local.py
@@ -41,7 +43,7 @@ bench-overload:
 	PYTHONPATH=src python -m pytest -x -q -s benchmarks/test_perf_overload.py
 
 # The repository's benchmark (BENCHMARK.json): all five workloads through
-# the real Viper -> ViperConsumer -> InferenceServer path, ~100 s.  Compare
+# the real Viper -> ViperConsumer -> InferenceServer path, ~80 s.  Compare
 # two result files with benchmarks/e2e/compare.py.
 #   make bench-e2e SEED=3
 bench-e2e:

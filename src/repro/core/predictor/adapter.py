@@ -27,18 +27,14 @@ motivation describes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, List, Optional
 
 import numpy as np
 
 from repro.errors import FitError, ScheduleError
 from repro.core.predictor.cilp import CILParams
-from repro.core.predictor.schedules import (
-    DEFAULT_THRESHOLD_SCALES,
-    best_greedy_schedule,
-    warmup_threshold,
-)
-from repro.core.predictor.tlp import TrainingLossPredictor
+from repro.core.predictor.schedules import best_greedy_schedule, warmup_threshold
+from repro.core.predictor.tlp import SMOOTHING_WINDOW, fit_window
 
 __all__ = ["CheckpointFrequencyAdapter"]
 
@@ -54,9 +50,6 @@ class CheckpointFrequencyAdapter:
         end_iter: int,
         total_infers: int,
         refit_every: Optional[int] = None,
-        smoothing_window: int = 25,
-        fit_start_fraction: float = 0.3,
-        threshold_scales: Sequence[float] = DEFAULT_THRESHOLD_SCALES,
     ):
         if warmup_iters < 4:
             raise ScheduleError("adapter needs a warm-up of at least 4 iterations")
@@ -64,6 +57,8 @@ class CheckpointFrequencyAdapter:
             raise ScheduleError("end_iter must exceed warmup_iters")
         if total_infers <= 0:
             raise ScheduleError("total_infers must be positive")
+        if refit_every is not None and refit_every <= 0:
+            raise ScheduleError("refit_every must be positive")
         self.params = params
         self.warmup_iters = warmup_iters
         self.end_iter = end_iter
@@ -71,12 +66,9 @@ class CheckpointFrequencyAdapter:
         self.refit_every = (
             refit_every if refit_every is not None else max(warmup_iters // 2, 16)
         )
-        self.smoothing_window = smoothing_window
-        self.fit_start_fraction = fit_start_fraction
-        self.threshold_scales = tuple(threshold_scales)
 
         self._losses: List[float] = []
-        self._window: Deque[float] = deque(maxlen=max(smoothing_window, 1))
+        self._window: Deque[float] = deque(maxlen=SMOOTHING_WINDOW)
         self.threshold: float = float("inf")   # no checkpoints before warm-up
         self.noise_floor: float = 0.0
         # Never checkpoint faster than the stall can amortize over
@@ -143,14 +135,8 @@ class CheckpointFrequencyAdapter:
         if iteration >= self.end_iter:
             return  # nothing left to schedule
         losses = self._losses
-        skip = int(len(losses) * self.fit_start_fraction)
-        if len(losses) - skip < 8:
-            skip = max(0, len(losses) - 8)
-        iters = np.arange(skip + 1, len(losses) + 1, dtype=np.float64)
         try:
-            tlp = TrainingLossPredictor(self.smoothing_window).fit(
-                losses[skip:], iters, horizon=self.end_iter
-            )
+            tlp, skip = fit_window(losses, horizon=self.end_iter)
         except FitError:
             return  # keep the previous threshold
         # Noise floor: the trailing-mean estimator wobbles by roughly the
@@ -187,7 +173,6 @@ class CheckpointFrequencyAdapter:
             base,
             lambda i: max(0.0, float(tlp.predict_scalar(i))),
             self.params,
-            scales=self.threshold_scales,
         )
         if schedule.threshold is not None and schedule.num_checkpoints:
             self.threshold = float(schedule.threshold)

@@ -9,113 +9,124 @@ decreasing in their fitted regime:
 - ``Lin2``:  a x + b                  (a <= 0 after fitting a decay)
 - ``Expd3``: c - (c - a) * exp(-b x)  (from a at x=0 toward c)
 
-plus ``Pow3`` (a * x^-b + c), another decreasing family from the same
-survey: SGD loss curves are frequently power-law rather than exponential,
-and the TLP's pluggable candidate set (paper design objective 1) lets a
-deployment include it when exponential families extrapolate poorly.
+plus ``Pow3`` (a * x^-b + c) from the same survey: SGD loss is often a
+power law, and the TLP's candidate set is pluggable (design objective 1).
 
-Fitting is nonlinear least squares (scipy ``curve_fit``) with a small
-multi-start grid over the rate parameter — single-start fits of
-exponential families are notorious for local minima on two-phase loss
-curves.  Model selection (in :mod:`repro.core.predictor.tlp`) is by MSE,
-exactly as the paper selects Exp3 for CANDLE-TC1.
+Every family but Lin2 is linear in all its parameters except the rate
+``b``, so fitting is variable projection [Golub & Pereyra 1973]: at each
+rate the rest is a closed-form least-squares solve over the family's
+basis columns.  The projected MSE is evaluated on a log grid of rates —
+which keeps two-phase curves out of local minima — and the best grid
+point is refined by a bounded Brent search.  Lin2 is ``np.polyfit``.
+Model selection (in :mod:`repro.core.predictor.tlp`) is by MSE, exactly
+as the paper selects Exp3 for CANDLE-TC1.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import minimize_scalar
 
 from repro.errors import FitError
 
 __all__ = [
-    "CurveModel",
-    "Exp2",
-    "Exp3",
-    "Lin2",
-    "Expd3",
-    "Pow3",
-    "fit_all_curves",
-    "CURVE_FAMILIES",
-    "PAPER_FAMILIES",
+    "CurveModel", "Exp2", "Exp3", "Lin2", "Expd3", "Pow3",
+    "fit_all_curves", "CURVE_FAMILIES", "PAPER_FAMILIES",
 ]
+
+#: Log-spaced rates the projected MSE is evaluated at before refining.
+RATE_GRID_POINTS = 64
+#: Tolerance of the refinement, on log(rate).
+LOG_RATE_TOL = 1e-9
+#: A column no larger than this is left out of a solve (coefficient 0).
+NEGLIGIBLE_COLUMN = 1e-100
+
+
+def _lstsq(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least squares on max-1 scaled columns: at a fast rate an exponential
+    column can be 1e-90 beside a constant one and still carry a transient."""
+    scale = np.abs(basis).max(axis=0)
+    live = scale > NEGLIGIBLE_COLUMN
+    coef = np.zeros(basis.shape[1])
+    coef[live] = np.linalg.lstsq(basis[:, live] / scale[live], y, rcond=None)[0]
+    return coef / np.where(live, scale, 1.0)
 
 
 class CurveModel:
-    """Base class: fit on (x, y), then predict loss at any iteration."""
+    """Base class: fit on (x, y), then predict loss at any iteration.
+
+    A family declares its formula ``func(x, a, b, ...)``, the ``columns(x,
+    b)`` it is linear in at rate ``b`` (``a`` weighs the first, the later
+    parameters the rest), and whether ``a >= 0`` holds."""
 
     name = "curve"
-    n_params = 0
+    a_nonnegative = True
 
     def __init__(self):
         self.params: Optional[np.ndarray] = None
         self.mse: float = float("inf")
 
-    # -- subclass contract ---------------------------------------------
     @staticmethod
     def func(x: np.ndarray, *params) -> np.ndarray:
         raise NotImplementedError
 
-    def initial_guess(self, x: np.ndarray, y: np.ndarray) -> Sequence[float]:
+    @staticmethod
+    def columns(x: np.ndarray, b: float) -> Sequence[np.ndarray]:
         raise NotImplementedError
 
-    def extra_guesses(self, x: np.ndarray, y: np.ndarray) -> Sequence[Sequence[float]]:
-        """Additional multi-start points (rate-parameter grid)."""
-        return ()
+    def rate_range(self, x: np.ndarray) -> Tuple[float, float]:
+        """Search range of ``b``; an exponential's scales with the span."""
+        span = max(float(x[-1]), 1.0)
+        return 1e-4 / span, 1e3 / span
 
-    def bounds(self) -> Tuple[Sequence[float], Sequence[float]]:
-        return (-np.inf, np.inf)
-
-    # -- shared machinery -----------------------------------------------
     def fit(self, x: Sequence[float], y: Sequence[float]) -> "CurveModel":
-        """Multi-start least-squares fit; records in-sample MSE.  Raises
-        FitError if no start converges."""
+        """Least-squares fit; records the in-sample MSE."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x.shape != y.shape or x.ndim != 1:
             raise FitError(f"{self.name}: x and y must be equal-length 1-D arrays")
-        if x.size < self.n_params:
-            raise FitError(
-                f"{self.name}: need at least {self.n_params} points, got {x.size}"
-            )
-        starts = [self.initial_guess(x, y), *self.extra_guesses(x, y)]
-        best_params = None
-        best_mse = float("inf")
-        errors = []
-        for p0 in starts:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    params, _cov = curve_fit(
-                        self.func,
-                        x,
-                        y,
-                        p0=p0,
-                        bounds=self.bounds(),
-                        maxfev=20_000,
-                    )
-            except (RuntimeError, ValueError) as exc:
-                errors.append(str(exc))
-                continue
-            residual = self.func(x, *params) - y
-            mse = float(np.mean(residual * residual))
-            if mse < best_mse:
-                best_mse = mse
-                best_params = params
-        if best_params is None:
-            raise FitError(f"{self.name}: all starts failed: {errors[:2]}")
-        self.params = np.asarray(best_params, dtype=np.float64)
-        self.mse = best_mse
+        n = self.func.__code__.co_argcount - 1  # the formula's parameters
+        if x.size < n:
+            raise FitError(f"{self.name}: need at least {n} points, got {x.size}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise FitError(f"{self.name}: x and y must be finite")
+        self.params = self._solve(x, y)
+        self.mse = self.mse_on(x, y)
         return self
+
+    def _solve(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The rate minimising the projected MSE, and its coefficients."""
+        def projected_mse(log_b: float) -> float:
+            return self._project(x, y, float(np.exp(log_b)))[1]
+
+        grid = np.linspace(*np.log(self.rate_range(x)), RATE_GRID_POINTS)
+        mses = [projected_mse(t) for t in grid]
+        i = int(np.argmin(mses))
+        bracket = (grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])
+        refined = minimize_scalar(
+            projected_mse, bounds=bracket, method="bounded",
+            options={"xatol": LOG_RATE_TOL},
+        )
+        b = float(np.exp(refined.x if refined.fun < mses[i] else grid[i]))
+        coef, _ = self._project(x, y, b)
+        return np.array([coef[0], b, *coef[1:]])
+
+    def _project(self, x, y, b: float) -> Tuple[np.ndarray, float]:
+        """Coefficients at rate ``b`` and their MSE.  A negative ``a`` where
+        ``a >= 0`` holds becomes 0 with the rest refitted: exact, as the
+        problem is convex with one sign constraint."""
+        basis = np.column_stack(self.columns(x, b))
+        coef = _lstsq(basis, y)
+        if self.a_nonnegative and coef[0] < 0.0:
+            coef = np.concatenate(([0.0], _lstsq(basis[:, 1:], y)))
+        residual = basis @ coef - y
+        return coef, float(residual @ residual) / y.size
 
     def mse_on(self, x, y) -> float:
         """Out-of-sample MSE on a holdout window."""
-        residual = self.predict(np.asarray(x, dtype=np.float64)) - np.asarray(
-            y, dtype=np.float64
-        )
+        residual = self.predict(x) - np.asarray(y, dtype=np.float64)
         return float(np.mean(residual * residual))
 
     def predict(self, x) -> np.ndarray:
@@ -137,109 +148,75 @@ class Exp2(CurveModel):
     """``a * exp(-b x)`` — pure exponential decay to zero."""
 
     name = "exp2"
-    n_params = 2
 
     @staticmethod
     def func(x, a, b):
         return a * np.exp(-b * x)
 
-    def initial_guess(self, x, y):
-        return [max(float(y[0]), 1e-6), 1.0 / max(float(x[-1]), 1.0)]
-
-    def extra_guesses(self, x, y):
-        a0 = max(float(y[0]), 1e-6)
-        span = max(float(x[-1]), 1.0)
-        return [[a0, r / span] for r in (0.3, 3.0, 10.0)]
-
-    def bounds(self):
-        return ([0.0, 0.0], [np.inf, np.inf])
+    @staticmethod
+    def columns(x, b):
+        return [np.exp(-b * x)]
 
 
 class Exp3(CurveModel):
     """``a * exp(-b x) + c`` — decay to an asymptote (TC1's best fit)."""
 
     name = "exp3"
-    n_params = 3
 
     @staticmethod
     def func(x, a, b, c):
         return a * np.exp(-b * x) + c
 
-    def initial_guess(self, x, y):
-        c0 = float(y[-1])
-        a0 = max(float(y[0]) - c0, 1e-6)
-        return [a0, 1.0 / max(float(x[-1]), 1.0), c0]
-
-    def extra_guesses(self, x, y):
-        c0 = float(y[-1])
-        a0 = max(float(y[0]) - c0, 1e-6)
-        span = max(float(x[-1]), 1.0)
-        return [[a0, r / span, c0] for r in (0.3, 3.0, 10.0)]
-
-    def bounds(self):
-        return ([0.0, 0.0, -np.inf], [np.inf, np.inf, np.inf])
+    @staticmethod
+    def columns(x, b):
+        return [np.exp(-b * x), np.ones_like(x)]
 
 
 class Lin2(CurveModel):
     """``a x + b`` — a straight line (competitive only early in training)."""
 
     name = "lin2"
-    n_params = 2
 
     @staticmethod
     def func(x, a, b):
         return a * x + b
 
-    def initial_guess(self, x, y):
-        span = float(x[-1] - x[0]) or 1.0
-        return [(float(y[-1]) - float(y[0])) / span, float(y[0])]
+    def _solve(self, x, y):
+        return np.polyfit(x, y, 1)
 
 
 class Expd3(CurveModel):
     """``c - (c - a) * exp(-b x)`` — from ``a`` at x=0 toward ``c``."""
 
     name = "expd3"
-    n_params = 3
+    a_nonnegative = False
 
     @staticmethod
     def func(x, a, b, c):
         return c - (c - a) * np.exp(-b * x)
 
-    def initial_guess(self, x, y):
-        return [float(y[0]), 1.0 / max(float(x[-1]), 1.0), float(y[-1])]
-
-    def extra_guesses(self, x, y):
-        span = max(float(x[-1]), 1.0)
-        return [[float(y[0]), r / span, float(y[-1])] for r in (0.3, 3.0, 10.0)]
-
-    def bounds(self):
-        return ([-np.inf, 0.0, -np.inf], [np.inf, np.inf, np.inf])
+    @staticmethod
+    def columns(x, b):
+        decay = np.exp(-b * x)
+        return [decay, 1.0 - decay]
 
 
 class Pow3(CurveModel):
-    """``a * x^-b + c`` — power-law decay to an asymptote.
-
-    From the same learning-curve survey the paper draws its families
-    from; SGD training loss is frequently power-law, and this family
-    extrapolates the slow tail far better than the exponentials.
-    """
+    """``a * x^-b + c`` — power-law decay to an asymptote; extrapolates a
+    slow SGD tail far better than the exponentials."""
 
     name = "pow3"
-    n_params = 3
 
     @staticmethod
     def func(x, a, b, c):
         return a * np.power(np.maximum(x, 1e-9), -b) + c
 
-    def initial_guess(self, x, y):
-        return [max(float(y[0]) - float(y[-1]), 1e-6), 0.5, float(y[-1])]
+    @staticmethod
+    def columns(x, b):
+        return [np.power(np.maximum(x, 1e-9), -b), np.ones_like(x)]
 
-    def extra_guesses(self, x, y):
-        a0 = max(float(y[0]) - float(y[-1]), 1e-6)
-        return [[a0 * s, b0, float(y[-1])] for s in (1.0, 10.0) for b0 in (0.1, 1.0)]
-
-    def bounds(self):
-        return ([0.0, 0.01, -np.inf], [np.inf, 5.0, np.inf])
+    def rate_range(self, x):
+        return 0.01, 5.0
 
 
 #: The four families the paper lists (§4.3).
@@ -255,13 +232,9 @@ def fit_all_curves(
     y: Sequence[float],
     families: Optional[Sequence[type]] = None,
 ) -> Dict[str, CurveModel]:
-    """Fit every family; families whose optimizer diverges are skipped.
-
-    Returns ``{name: fitted model}``; raises FitError only when *no*
-    family could be fitted.  ``families`` defaults to
-    :data:`CURVE_FAMILIES`; pass :data:`PAPER_FAMILIES` to restrict to
-    the paper's exact four.
-    """
+    """``{name: fitted model}`` for every family with enough points;
+    FitError only when none fits.  ``families`` defaults to
+    :data:`CURVE_FAMILIES`; :data:`PAPER_FAMILIES` is the paper's four."""
     fitted: Dict[str, CurveModel] = {}
     errors: List[str] = []
     for family in families if families is not None else CURVE_FAMILIES:

@@ -26,7 +26,7 @@ from repro.core.predictor.schedules import (
     greedy_schedule,
     warmup_threshold,
 )
-from repro.core.predictor.tlp import TrainingLossPredictor
+from repro.core.predictor.tlp import TrainingLossPredictor, fit_window
 
 __all__ = ["InferencePerformancePredictor"]
 
@@ -38,15 +38,9 @@ class InferencePerformancePredictor:
         self,
         params: CILParams,
         *,
-        smoothing_window: int = 25,
-        fit_start_fraction: float = 0.3,
         loss_pred: Optional[Callable[[float], float]] = None,
     ):
-        if not 0.0 <= fit_start_fraction < 1.0:
-            raise ScheduleError("fit_start_fraction must be in [0, 1)")
         self.params = params
-        self.smoothing_window = smoothing_window
-        self.fit_start_fraction = fit_start_fraction
         self._external_pred = loss_pred
         self.horizon: Optional[float] = None
         self.tlp: Optional[TrainingLossPredictor] = None
@@ -62,25 +56,17 @@ class InferencePerformancePredictor:
     ) -> "InferencePerformancePredictor":
         """Fit the TLP on warm-up losses observed from ``start_iteration``.
 
-        The first ``fit_start_fraction`` of the warm-up window is excluded
-        from the fit: the initial optimization transient does not follow
-        the asymptotic learning-curve families and would otherwise bias
-        the extrapolation (standard practice since Domhan et al. [7],
-        which the paper builds on).  ``horizon`` — the end-of-training
-        iteration, when known — enables the TLP's plausibility filter.
+        The fit window follows :func:`~repro.core.predictor.tlp.fit_window`
+        (initial transient skipped, losses smoothed).  ``horizon`` — the
+        end-of-training iteration, when known — enables the TLP's
+        plausibility filter.
         """
         losses = list(warmup_losses)
-        iters = [start_iteration + i for i in range(len(losses))]
         self._warmup_losses = losses
-        self._warmup_end = iters[-1] if iters else 0
+        self._warmup_end = start_iteration + len(losses) - 1 if losses else 0
         self.horizon = horizon
         if self._external_pred is None:
-            skip = int(len(losses) * self.fit_start_fraction)
-            if len(losses) - skip < 8:
-                skip = max(0, len(losses) - 8)
-            self.tlp = TrainingLossPredictor(self.smoothing_window).fit(
-                losses[skip:], iters[skip:], horizon=horizon
-            )
+            self.tlp, _ = fit_window(losses, start_iteration, horizon)
         return self
 
     @property

@@ -14,14 +14,20 @@ method: the predictor slot is pluggable (paper design objective 1).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import FitError
 from repro.core.predictor.curves import CurveModel, fit_all_curves
 
-__all__ = ["TrainingLossPredictor", "smooth_losses"]
+__all__ = ["TrainingLossPredictor", "fit_window", "smooth_losses"]
+
+#: :func:`fit_window`'s running-mean width (also the adapter's trailing
+#: window), the share of losses it skips, and the fewest it keeps.
+SMOOTHING_WINDOW = 25
+FIT_SKIP_FRACTION = 0.3
+FIT_MIN_POINTS = 8
 
 
 def smooth_losses(losses: Sequence[float], window: int = 0) -> np.ndarray:
@@ -36,6 +42,29 @@ def smooth_losses(losses: Sequence[float], window: int = 0) -> np.ndarray:
         hi = min(y.size, i + half + 1)
         out[i] = y[lo:hi].mean()
     return out
+
+
+def fit_window(
+    losses: Sequence[float],
+    start_iteration: int = 1,
+    horizon: Optional[float] = None,
+) -> Tuple["TrainingLossPredictor", int]:
+    """The TLP fit the IPP and the adapter share, on losses observed from
+    ``start_iteration``; returns it and the number of losses skipped.
+
+    The first 30 % of the losses (keeping at least 8) are skipped: the
+    initial optimization transient does not follow the asymptotic
+    families and would bias the extrapolation (standard practice since
+    Domhan et al. [7]).  The rest is smoothed and fitted with the
+    plausibility ``horizon``.
+    """
+    n = len(losses)
+    skip = max(0, min(int(n * FIT_SKIP_FRACTION), n - FIT_MIN_POINTS))
+    iters = np.arange(start_iteration + skip, start_iteration + n, dtype=np.float64)
+    tlp = TrainingLossPredictor(SMOOTHING_WINDOW).fit(
+        losses[skip:], iters, horizon=horizon
+    )
+    return tlp, skip
 
 
 class TrainingLossPredictor:

@@ -127,7 +127,6 @@ def schedules_for_app(
     serializer: Optional[Serializer] = None,
     profile: HardwareProfile = POLARIS,
     max_interval: Optional[int] = None,
-    smoothing_window: int = 25,
 ) -> Dict[str, Schedule]:
     """The three §5.4 schedules, with the IPP fitted on warm-up data only."""
     warmup = int(app.warmup_iters)
@@ -137,7 +136,7 @@ def schedules_for_app(
             f"loss curve ({curve.size}) shorter than warm-up ({warmup})"
         )
     params = make_cil_params(app, strategy, mode, serializer, profile)
-    ipp = InferencePerformancePredictor(params, smoothing_window=smoothing_window)
+    ipp = InferencePerformancePredictor(params)
     ipp.observe_warmup(curve[:warmup], start_iteration=1, horizon=app.total_iters)
 
     end_iter = app.total_iters

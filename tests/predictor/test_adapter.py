@@ -103,6 +103,7 @@ class TestValidation:
             {"warmup_iters": 2},
             {"end_iter": 50},
             {"total_infers": 0},
+            {"refit_every": 0},
         ],
     )
     def test_invalid_construction(self, kwargs):

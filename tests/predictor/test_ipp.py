@@ -37,10 +37,6 @@ class TestObservation:
         with pytest.raises(ScheduleError):
             pred.schedule("fixed", end_iter=100, total_infers=100)
 
-    def test_invalid_fit_fraction(self, small_params):
-        with pytest.raises(ScheduleError):
-            InferencePerformancePredictor(small_params, fit_start_fraction=1.0)
-
 
 class TestScheduleGeneration:
     def test_epoch_schedule(self, ipp):
