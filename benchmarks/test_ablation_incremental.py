@@ -1,29 +1,23 @@
-"""Ablation: incremental (delta) checkpoints in a fine-tuning workflow.
+"""Ablation: full vs delta checkpoints in a fine-tuning workflow.
 
 The paper's related work motivates incremental/partial checkpointing
 (Check-N-Run, DStore, EvoStore) for workloads where checkpoints change
 only partially — exactly the fine-tuning stage of the paper's §1
-workflow once the PtychoNN encoder is frozen.  This bench measures, per
-update, the bytes moved and the end-to-end latency for full vs delta
-checkpoints across the three transfer strategies.
+workflow once the PtychoNN encoder is frozen.  This bench drives two
+consecutive fine-tuning checkpoints through ``Viper()`` and
+``Viper(delta=True)`` and reports, per transfer strategy, the fraction
+of the checkpoint that crossed the wire and the simulated end-to-end
+update latency.  The PFS row ships the self-contained blob either way:
+the handler never stages a delta frame on the durable tier.
 """
+
+from itertools import cycle
 
 import numpy as np
 import pytest
 
+from repro import CaptureMode, TransferStrategy, Viper
 from repro.apps import get_app
-from repro.core.transfer.incremental import (
-    apply_delta,
-    delta_payload_bytes,
-    encode_delta,
-)
-from repro.core.transfer.strategies import (
-    CaptureMode,
-    TransferStrategy,
-    compute_timings,
-)
-from repro.dnn.serialization import ViperSerializer, state_dict_nbytes
-from repro.substrates.profiles import POLARIS
 from benchmarks.conftest import emit
 
 
@@ -41,61 +35,65 @@ def finetune_snapshots():
     return app, before, after
 
 
-def test_incremental_bytes_and_latency(finetune_snapshots, results_dir, benchmark):
+def update(viper, app, state, strategy):
+    """Save ``state`` at paper scale and load it back: (result, loaded)."""
+    result = viper.save_weights(
+        "ptychonn", state,
+        mode=CaptureMode.ASYNC, strategy=strategy,
+        virtual_bytes=app.checkpoint_bytes,
+        virtual_tensors=app.checkpoint_tensors,
+    )
+    viper.drain()
+    return result, viper.load_weights("ptychonn")
+
+
+def second_update(app, before, after, strategy, delta):
+    """``after`` shipped once the consumer holds ``before``."""
+    with Viper(delta=delta) as viper:
+        update(viper, app, before, strategy)
+        result, loaded = update(viper, app, after, strategy)
+    for key in after:
+        np.testing.assert_array_equal(loaded.state[key], after[key])
+    return result.update_latency, loaded.record.wire_fraction
+
+
+def test_incremental_bytes_and_latency(finetune_snapshots, results_dir):
     app, before, after = finetune_snapshots
-    delta = encode_delta(before, after, base_version=1)
-
-    real_full = state_dict_nbytes(after)
-    real_delta = delta_payload_bytes(delta)
-    fraction = real_delta / real_full
-    # Scale the paper-size checkpoint by the measured delta fraction.
-    virtual_full = app.checkpoint_bytes
-    virtual_delta = int(virtual_full * fraction)
-    delta_tensors = max(1, len(delta) - 1)
-
-    ser = ViperSerializer()
     rows = [
         "Ablation: full vs delta checkpoints (PtychoNN fine-tuning, frozen "
         "encoder)",
-        f"real payload: full {real_full / 1e3:.1f} kB, delta "
-        f"{real_delta / 1e3:.1f} kB ({fraction:.2%})",
-        f"{'strategy':<8}{'full e2e(s)':>12}{'delta e2e(s)':>13}{'speedup':>9}",
-        "-" * 42,
+        f"{'strategy':<8}{'wire':>8}{'full e2e(s)':>12}{'delta e2e(s)':>13}"
+        f"{'speedup':>9}",
+        "-" * 50,
     ]
     for strategy in TransferStrategy:
-        full_t = compute_timings(
-            POLARIS, ser, strategy, CaptureMode.ASYNC,
-            virtual_full, app.checkpoint_tensors,
-        ).update_latency
-        delta_t = compute_timings(
-            POLARIS, ser, strategy, CaptureMode.ASYNC,
-            virtual_delta, delta_tensors,
-        ).update_latency
+        full_t, full_wire = second_update(app, before, after, strategy, False)
+        delta_t, wire = second_update(app, before, after, strategy, True)
         rows.append(
-            f"{strategy.value:<8}{full_t:>12.3f}{delta_t:>13.3f}"
+            f"{strategy.value:<8}{wire:>8.1%}{full_t:>12.3f}{delta_t:>13.3f}"
             f"{full_t / delta_t:>9.2f}"
         )
-        assert delta_t < full_t
+        assert full_wire == 1.0
+        if strategy is TransferStrategy.PFS:
+            assert wire == 1.0 and delta_t == full_t
+        else:
+            # With the encoder frozen the frame carries well under the
+            # full size, and the update is faster for it.
+            assert wire < 0.8
+            assert delta_t < full_t
     emit(results_dir, "ablation_incremental", "\n".join(rows))
 
-    # The delta must reconstruct the exact checkpoint.
-    restored = apply_delta(before, delta)
-    for key in after:
-        np.testing.assert_array_equal(restored[key], after[key])
-    # With the encoder frozen the delta carries well under the full size.
-    assert fraction < 0.8
 
-    benchmark(encode_delta, before, after, 1)
+def test_delta_roundtrip_through_viper(finetune_snapshots, benchmark):
+    """Wall time of one delta save + load of the fine-tuned checkpoint."""
+    app, before, after = finetune_snapshots
+    host = TransferStrategy.HOST_TO_HOST
+    with Viper(delta=True) as viper:
+        update(viper, app, before, host)
+        states = cycle([after, before])
 
+        def roundtrip():
+            return update(viper, app, next(states), host)[1]
 
-def test_delta_roundtrip_through_serializer(finetune_snapshots, benchmark):
-    _app, before, after = finetune_snapshots
-    ser = ViperSerializer()
-    delta = encode_delta(before, after, base_version=1)
-
-    def roundtrip():
-        return apply_delta(before, ser.loads(ser.dumps(delta)))
-
-    restored = benchmark(roundtrip)
-    for key in after:
-        np.testing.assert_array_equal(restored[key], after[key])
+        loaded = benchmark(roundtrip)
+        assert loaded.record.wire_fraction < 0.8

@@ -12,8 +12,8 @@ Two questions, answered with real bytes and the simulated timing law:
    faster when 10% changed; within 5% of monolithic when 100% changed
    (the fallback must not regress the worst case).
 
-Wall-clock encode/decode throughput is reported (not gated) so a codec
-or digest regression shows up in the JSON history: ``encode_mbps`` /
+Wall-clock encode/decode throughput is reported (not gated) so a digest
+regression shows up in the JSON history: ``encode_mbps`` /
 ``decode_mbps`` time the bare ``encode_frame`` / ``decode_frame`` calls,
 which know nothing about their inputs and hash every byte;
 ``manager_encode_mbps`` / ``manager_decode_mbps`` time the third update
@@ -34,7 +34,6 @@ import pytest
 
 from repro import CaptureMode, TransferStrategy, Viper
 from repro.apps import get_app
-from repro.core.transfer.compression import get_codec
 from repro.core.transfer.delta import (
     ChunkIndex,
     DeltaConfig,
@@ -75,7 +74,7 @@ def mutate(state, fraction, seed=10):
     return out
 
 
-def measure_wire(fraction: float, compression: str = "none") -> dict:
+def measure_wire(fraction: float) -> dict:
     """Real encoded-frame bytes for a ``fraction``-changed update."""
     ser = ViperSerializer()
     base_state = build_state()
@@ -83,12 +82,9 @@ def measure_wire(fraction: float, compression: str = "none") -> dict:
     base_blob = ser.dumps(base_state)
     base_lengths = [memoryview(p).nbytes for p in ser.dump_chunks(base_state)]
     index = ChunkIndex(base_blob, CHUNK_BYTES, base_lengths)
-    codec = get_codec(compression)
 
     t0 = time.perf_counter()
-    frame, stats = encode_frame(
-        index, ser.dump_chunks(new_state), CHUNK_BYTES, codec
-    )
+    frame, stats = encode_frame(index, ser.dump_chunks(new_state), CHUNK_BYTES)
     encode_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     out = decode_frame(frame, base_blob)
@@ -97,10 +93,9 @@ def measure_wire(fraction: float, compression: str = "none") -> dict:
 
     full = stats.bytes_total
     wire = min(len(frame), full)  # the handler falls back when frame >= full
-    manager_encode_s, manager_decode_s = measure_manager(fraction, compression)
+    manager_encode_s, manager_decode_s = measure_manager(fraction)
     return {
         "changed_fraction": fraction,
-        "compression": compression,
         "full_bytes": full,
         "wire_bytes": wire,
         "reduction_x": full / wire,
@@ -116,14 +111,14 @@ def measure_wire(fraction: float, compression: str = "none") -> dict:
     }
 
 
-def measure_manager(fraction: float, compression: str):
+def measure_manager(fraction: float):
     """Seconds the producer and the consumer side of ``DeltaManager`` take
     for one ``fraction``-changed update in steady state: the best of
     updates 3-5 of a chain, whose base is itself a version the manager
     encoded and reconstructed (host noise is one-sided)."""
     ser = ViperSerializer()
     manager = DeltaManager(
-        DeltaConfig(enabled=True, chunk_bytes=CHUNK_BYTES, compression=compression),
+        DeltaConfig(enabled=True, chunk_bytes=CHUNK_BYTES),
         serializer=ser,
     )
     state = build_state()
@@ -172,12 +167,7 @@ APPS = ("nt3a",) if QUICK else ("nt3a", "tc1")
 
 @pytest.fixture(scope="module")
 def bench_results(results_dir):
-    wire_rows = [
-        measure_wire(0.1),
-        measure_wire(0.5),
-        measure_wire(1.0),
-        measure_wire(0.1, compression="zlib"),
-    ]
+    wire_rows = [measure_wire(0.1), measure_wire(0.5), measure_wire(1.0)]
     latency = {}
     for name in APPS:
         latency[name] = {
@@ -198,8 +188,7 @@ def bench_results(results_dir):
     lines = ["Delta wire path: bytes moved per update (real payload)"]
     for row in wire_rows:
         lines.append(
-            f"  {row['changed_fraction'] * 100:5.0f}% changed"
-            f" [{row['compression']:4s}]  "
+            f"  {row['changed_fraction'] * 100:5.0f}% changed  "
             f"{row['full_bytes'] / MB:6.1f} MB -> "
             f"{row['wire_bytes'] / MB:6.1f} MB   "
             f"({row['reduction_x']:.1f}x)"
@@ -217,13 +206,6 @@ class TestBytesOnWire:
     def test_full_change_never_ships_more_than_monolithic(self, bench_results):
         for row in bench_results["wire"]:
             assert row["wire_bytes"] <= row["full_bytes"]
-
-    def test_compression_stacks_on_dedup(self, bench_results):
-        plain = bench_results["wire"][0]
-        compressed = bench_results["wire"][3]
-        # Random float payloads barely compress; the codec must at least
-        # never cost wire bytes on top of the dedup win.
-        assert compressed["wire_bytes"] <= plain["wire_bytes"] * 1.01
 
 
 class TestSimulatedLatency:

@@ -1,13 +1,15 @@
-"""Incremental checkpoints during fine-tuning (frozen encoder).
+"""Transparent delta updates during fine-tuning (frozen encoder).
 
 The paper's §1 workflow ends in a fine-tuning phase; once the PtychoNN
 encoder is frozen, every checkpoint differs from the previous one only
 in the decoder tensors.  This example:
 
 1. fine-tunes PtychoNN with a frozen encoder;
-2. encodes each checkpoint as a delta against its predecessor
-   (Check-N-Run-style, `repro.core.transfer.incremental`);
-3. ships the deltas through Viper and reconstructs on the consumer side;
+2. saves every checkpoint whole through ``Viper(delta=True)``, which
+   ships only the chunks that changed since the version the consumer
+   holds;
+3. loads each one with a plain ``load_weights`` — the consumer never
+   sees a delta, let alone applies one;
 4. compares bytes moved and simulated update latency against full
    checkpoints.
 
@@ -20,15 +22,8 @@ import numpy as np
 
 from repro import CaptureMode, TransferStrategy, Viper
 from repro.apps import get_app
-from repro.core.transfer.incremental import (
-    apply_delta,
-    delta_payload_bytes,
-    encode_delta,
-)
-from repro.dnn.serialization import state_dict_nbytes
 
 # Smoke runs shrink the example via this multiplier (see quickstart.py).
-# Named EX_SCALE here because main() has a local ``scale`` of its own.
 EX_SCALE = float(os.environ.get("VIPER_EXAMPLE_SCALE", "1.0"))
 
 
@@ -39,49 +34,39 @@ def main() -> None:
     x, y, _xt, _yt = app.dataset(scale=max(0.02, 0.05 * EX_SCALE), seed=23)
     print(f"fine-tuning PtychoNN with {frozen} frozen encoder layers")
 
-    with Viper() as viper:
-        base = model.state_dict()
-        full_bytes = state_dict_nbytes(base)
-        scale = app.checkpoint_bytes / full_bytes  # paper-scale factor
+    save = dict(
+        mode=CaptureMode.ASYNC,
+        strategy=TransferStrategy.GPU_TO_GPU,
+        virtual_bytes=app.checkpoint_bytes,  # paper-scale timing
+        virtual_tensors=app.checkpoint_tensors,
+    )
+    with Viper(delta=True) as viper:
+        # The first checkpoint ships whole: the consumer holds no base yet.
+        full = viper.save_weights("ptychonn", model.state_dict(), **save)
+        viper.drain()
+        viper.load_weights("ptychonn")
 
-        # Ship the base checkpoint whole.
-        viper.save_weights(
-            "ptychonn", base,
-            mode=CaptureMode.SYNC, strategy=TransferStrategy.GPU_TO_GPU,
-            virtual_bytes=app.checkpoint_bytes,
-        )
-        consumer_state = viper.load_weights("ptychonn").state
-
-        total_full, total_delta = 0, 0
-        prev = base
+        total_full, total_wire = 0, 0
         for epoch in range(3):
             model.fit(x, y, epochs=1, batch_size=64, seed=epoch)
-            curr = model.state_dict()
-            delta = encode_delta(prev, curr, base_version=epoch + 1)
-            dbytes = delta_payload_bytes(delta)
-            result = viper.save_weights(
-                f"ptychonn-delta-{epoch + 2}", delta,
-                mode=CaptureMode.ASYNC, strategy=TransferStrategy.GPU_TO_GPU,
-                virtual_bytes=int(dbytes * scale),
-                virtual_tensors=max(1, len(delta) - 1),
-            )
+            result = viper.save_weights("ptychonn", model.state_dict(), **save)
             viper.drain()
-            loaded = viper.load_weights(f"ptychonn-delta-{epoch + 2}")
-            consumer_state = apply_delta(consumer_state, loaded.state)
-            total_full += full_bytes
-            total_delta += dbytes
-            print(f"  epoch {epoch + 1}: delta {dbytes / 1e3:7.1f} kB "
-                  f"({dbytes / full_bytes:6.1%} of full), simulated update "
-                  f"latency {result.update_latency:.3f}s")
-            prev = curr
+            loaded = viper.load_weights("ptychonn")
+            record = loaded.record
+            total_full += record.nbytes
+            total_wire += record.nbytes * record.wire_fraction
+            print(f"  epoch {epoch + 1}: v{record.version} shipped "
+                  f"{record.wire_fraction:6.1%} of the checkpoint, simulated "
+                  f"update latency {result.update_latency:.3f}s "
+                  f"(whole: {full.update_latency:.3f}s)")
 
-        # The consumer's reconstructed state equals the producer's model.
+        # What the consumer loaded equals the producer's model.
         for key, value in model.state_dict().items():
-            np.testing.assert_array_equal(consumer_state[key], value)
-        print(f"consumer state verified identical after 3 delta updates")
-        print(f"bytes moved: {total_delta / 1e3:.1f} kB vs "
-              f"{total_full / 1e3:.1f} kB full "
-              f"({1 - total_delta / total_full:.1%} saved)")
+            np.testing.assert_array_equal(loaded.state[key], value)
+        print("consumer state verified identical after 3 delta updates")
+        print(f"bytes moved (paper scale): {total_wire / 1e9:.2f} GB vs "
+              f"{total_full / 1e9:.2f} GB full "
+              f"({1 - total_wire / total_full:.1%} saved)")
 
 
 if __name__ == "__main__":

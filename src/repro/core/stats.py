@@ -60,7 +60,6 @@ class StatsSnapshot:
     bytes_total: int = 0             # full bytes the saves represented
     bytes_on_wire: int = 0           # bytes that actually moved
     bytes_saved_dedup: int = 0       # satisfied by reuse ops against a base
-    bytes_saved_compression: int = 0 # removed by the literal codec
     delta_chunks_total: int = 0      # chunks considered by delta encodes
     delta_chunks_reused: int = 0     # chunks served from the held base
     delta_hits: int = 0              # saves that shipped a delta frame
@@ -110,7 +109,6 @@ class StatsManager:
         self.bytes_total = 0             # see StatsSnapshot.bytes_total
         self.bytes_on_wire = 0           # see StatsSnapshot.bytes_on_wire
         self.bytes_saved_dedup = 0       # see StatsSnapshot.bytes_saved_dedup
-        self.bytes_saved_compression = 0
         self.delta_chunks_total = 0
         self.delta_chunks_reused = 0
         self.delta_hits = 0
@@ -242,20 +240,18 @@ class StatsManager:
         ``bytes_total`` is what the monolithic path would have moved;
         ``bytes_on_wire`` is what actually moved.  ``delta`` is the
         :class:`~repro.core.transfer.delta.DeltaStats` of the frame that
-        shipped (None when the monolithic blob did): its dedup (reuse
-        ops) and compression (codec) savings, counted in real bytes, are
-        rescaled to ``bytes_total``'s units.
+        shipped (None when the monolithic blob did): its dedup savings
+        (reuse ops), counted in real bytes, are rescaled to
+        ``bytes_total``'s units.
         """
-        saved_dedup = saved_compression = 0
+        saved_dedup = 0
         if delta is not None and delta.bytes_total:
             scale = bytes_total / delta.bytes_total
             saved_dedup = int(delta.bytes_reused * scale)
-            saved_compression = int(delta.bytes_saved_compression * scale)
         with self._lock:
             self.bytes_total += int(bytes_total)
             self.bytes_on_wire += int(bytes_on_wire)
             self.bytes_saved_dedup += saved_dedup
-            self.bytes_saved_compression += saved_compression
             if delta is not None:
                 self.delta_chunks_total += delta.chunks_total
                 self.delta_chunks_reused += delta.chunks_reused
@@ -264,10 +260,6 @@ class StatsManager:
         self.metrics.counter("viper_bytes_on_wire_total").inc(int(bytes_on_wire))
         if saved_dedup:
             self.metrics.counter("viper_bytes_saved_dedup_total").inc(saved_dedup)
-        if saved_compression:
-            self.metrics.counter("viper_bytes_saved_compression_total").inc(
-                saved_compression
-            )
         if delta is not None:
             self.metrics.counter("viper_delta_hits_total").inc()
 
@@ -303,7 +295,6 @@ class StatsManager:
                 bytes_total=self.bytes_total,
                 bytes_on_wire=self.bytes_on_wire,
                 bytes_saved_dedup=self.bytes_saved_dedup,
-                bytes_saved_compression=self.bytes_saved_compression,
                 delta_chunks_total=self.delta_chunks_total,
                 delta_chunks_reused=self.delta_chunks_reused,
                 delta_hits=self.delta_hits,
@@ -357,8 +348,7 @@ class StatsManager:
             parts.append(
                 f"wire: {snap.bytes_on_wire}/{snap.bytes_total} B "
                 f"(dedup {snap.bytes_saved_dedup} B @ "
-                f"{snap.dedup_hit_ratio:.0%} hit, "
-                f"codec {snap.bytes_saved_compression} B; "
+                f"{snap.dedup_hit_ratio:.0%} hit; "
                 f"{snap.delta_hits} delta, {snap.delta_fallbacks} fallback)"
             )
         return "; ".join(parts)

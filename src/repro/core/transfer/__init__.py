@@ -12,14 +12,13 @@
 - :mod:`engine` — the producer-side asynchronous capture/transfer worker.
 - :mod:`pipeline` — the chunked, pipelined, zero-copy transfer path
   (Chunker / BufferPool / PipelinedTransfer) and its config knob.
-- :mod:`delta` — the delta/compressed wire path (chunk digests, recipe
-  frames, DeltaManager negotiation) and :mod:`compression`, its codec
-  registry.
+- :mod:`delta` — the delta wire path (chunk digests, recipe frames,
+  DeltaManager negotiation); the one mechanism that ships only what
+  changed.
 - :mod:`handler` — the Model Weights Handler facade processing
   save/load requests end to end.
 """
 
-from repro.core.transfer.compression import Codec, available_codecs, get_codec
 from repro.core.transfer.delta import (
     ChunkIndex,
     DeltaConfig,
@@ -58,9 +57,6 @@ __all__ = [
     "Chunker",
     "BufferPool",
     "PipelinedTransfer",
-    "Codec",
-    "get_codec",
-    "available_codecs",
     "ChunkIndex",
     "DeltaConfig",
     "DeltaManager",

@@ -1,11 +1,11 @@
-"""Delta + compressed checkpoint transfer: stop moving unchanged bytes.
+"""Delta checkpoint transfer: stop moving unchanged bytes.
 
 The monolithic path ships every serialized byte of every version, even
 when a fine-tuning step touched a fraction of the parameters — exactly
 the paper's PFS-tier worst case (7.6 s per update).  This module makes
 the per-update wire cost proportional to what *changed* (Checkmate-style
-delta replication), with optional lossless compression layered on the
-bytes that do move:
+delta replication), transparently: ``Viper(delta=True)`` and the
+application still saves and loads whole state dicts.
 
 1. **Chunking** — the serialized v2 blob is cut into bounded chunks
    whose boundaries follow the serializer's iovec piece boundaries
@@ -24,10 +24,11 @@ bytes that do move:
    take over the base's digests so only changed pieces are hashed.
 4. **Recipe** — the producer ships a *delta frame* (wire format v3): an
    ordered list of ``reuse(offset, length, digest)`` /
-   ``literal(codec, bytes)`` ops plus the reconstruction target's length
-   and CRC-32.  Literal chunks are compressed through the configured
-   codec (:mod:`repro.core.transfer.compression`), with the compress
-   stage running in the pipelined lanes so it overlaps the copy-out.
+   ``literal(bytes)`` ops plus the reconstruction target's length and
+   CRC-32.  Literals ship raw: the op's codec byte is reserved and
+   always 0.  No codec pays here — zlib trims a 10 %-changed frame by
+   ~7 % at a third of the encode throughput, and every link a frame
+   crosses runs at >= 1 GB/s (``docs/architecture.md``).
 5. **Reconstruction** — the consumer replays the recipe against its held
    base blob, verifying every reused chunk's digest, every literal's
    length and digest, and finally the whole reconstructed blob's CRC-32
@@ -46,11 +47,10 @@ hashes everything; ``docs/architecture.md`` tabulates who hashes what.
 
 Fallback rules (all decided per save/load, never per deployment):
 
-- no base version registered for the consumer -> monolithic (or an
-  all-literal compressed frame when a codec is configured and it wins);
+- no base version registered for the consumer -> monolithic;
 - the encoded frame is not smaller than the full blob -> monolithic;
-- the piece compare says (almost) everything changed and no codec is
-  configured -> monolithic, skipping the digest pass entirely;
+- the piece compare says (almost) everything changed -> monolithic,
+  skipping the digest pass entirely;
 - the consumer lost its base, or reconstruction failed verification ->
   the handler re-fetches the producer-retained monolithic blob.
 """
@@ -66,8 +66,7 @@ from itertools import accumulate, islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import DeltaBaseError, IntegrityError, StorageError
-from repro.core.transfer.compression import Codec, NullCodec, codec_for_id, get_codec
-from repro.core.transfer.pipeline import Chunker, PipelinedTransfer
+from repro.core.transfer.pipeline import Chunker
 from repro.substrates.cost import KB
 
 __all__ = [
@@ -76,6 +75,8 @@ __all__ = [
     "ChunkIndex",
     "DeltaStats",
     "DELTA_MAGIC",
+    "FULL_CHANGE_THRESHOLD",
+    "CACHE_VERSIONS",
     "chunk_bounds",
     "encode_frame",
     "decode_frame",
@@ -96,7 +97,9 @@ _OP_LITERAL = 1
 #: | u64 out_len | u32 out_crc | u32 nops
 _HEADER = struct.Struct("<4sIQIQII")
 _REUSE = struct.Struct("<BQQ16s")      # tag, offset, length, digest
-_LITERAL = struct.Struct("<BBQQ16s")   # tag, codec, orig_len, enc_len, digest
+#: tag, codec, orig_len, enc_len, digest.  The codec byte is reserved:
+#: always 0, with ``enc_len == orig_len`` (the literal ships raw).
+_LITERAL = struct.Struct("<BBQQ16s")
 
 #: Default chunk size for content digests.  Small enough that a 10%-row
 #: update to a wide layer re-ships ~10% of it, large enough that the
@@ -104,11 +107,18 @@ _LITERAL = struct.Struct("<BBQQ16s")   # tag, codec, orig_len, enc_len, digest
 #: bytes.  Distinct from the pipeline's 256 MB *lane* chunks: digest
 #: chunks bound dedup granularity, lane chunks bound stage overlap.
 DEFAULT_DELTA_CHUNK_BYTES = 64 * KB
+#: Piece-compare early-out: when changed pieces hold at least this
+#: fraction of the blob's bytes, skip delta encoding entirely — the
+#: recipe cannot win.
+FULL_CHANGE_THRESHOLD = 0.9
+#: Producer-side monolithic blobs retained per model for diffing and for
+#: the consumer's missing-base fallback.
+CACHE_VERSIONS = 4
 
 
 @dataclass(frozen=True)
 class DeltaConfig:
-    """The delta/compression knob threaded through Viper -> handler.
+    """The delta knob threaded through Viper -> handler.
 
     ``enabled=False`` (the default) keeps the monolithic path
     byte-for-byte intact; delta transfer is strictly opt-in.
@@ -116,14 +126,6 @@ class DeltaConfig:
 
     enabled: bool = False
     chunk_bytes: int = DEFAULT_DELTA_CHUNK_BYTES
-    compression: str = "none"
-    #: Snapshot-diff early-out: when at least this fraction of payload
-    #: bytes changed (tensor granularity) and no codec is configured,
-    #: skip delta encoding entirely — the recipe cannot win.
-    full_change_threshold: float = 0.9
-    #: Producer-side monolithic blobs retained per model for diffing
-    #: and for the consumer's missing-base fallback.
-    cache_versions: int = 4
 
     def __post_init__(self):
         from repro.errors import ConfigurationError
@@ -132,31 +134,16 @@ class DeltaConfig:
             raise ConfigurationError(
                 f"delta chunk_bytes must be positive, got {self.chunk_bytes}"
             )
-        if not 0.0 < self.full_change_threshold <= 1.0:
-            raise ConfigurationError(
-                "full_change_threshold must be in (0, 1], got "
-                f"{self.full_change_threshold}"
-            )
-        if self.cache_versions < 1:
-            raise ConfigurationError(
-                f"cache_versions must be >= 1, got {self.cache_versions}"
-            )
-        get_codec(self.compression)  # validate the name at config time
-
-    def codec(self) -> Codec:
-        return get_codec(self.compression)
 
 
 @dataclass(frozen=True)
 class DeltaStats:
     """What one frame encode decided and saved."""
 
-    mode: str                 # "delta" | "literal" (no base) | "monolithic"
+    mode: str                 # "delta" | "monolithic"
     bytes_total: int          # reconstructed (full blob) size
     bytes_on_wire: int        # frame (or full blob) size actually shipped
     bytes_reused: int = 0     # payload bytes satisfied by reuse ops
-    bytes_literal: int = 0    # payload bytes shipped as literals (pre-codec)
-    bytes_saved_compression: int = 0  # literal bytes the codec removed
     chunks_total: int = 0
     chunks_reused: int = 0
 
@@ -239,31 +226,22 @@ class ChunkIndex:
 
 
 def encode_frame(
-    base: Optional[ChunkIndex],
+    base: ChunkIndex,
     pieces: Iterable,
     chunk_bytes: int,
-    codec: Optional[Codec] = None,
     *,
     digests: Optional[Sequence[bytes]] = None,
     out_crc: Optional[int] = None,
-    lanes: int = 1,
-    tracer=None,
-    metrics=None,
 ) -> Tuple[bytes, DeltaStats]:
     """Encode a piece stream as a v3 delta frame against ``base``.
 
-    ``pieces`` is the serializer's iovec (``dump_chunks`` output);
-    ``base=None`` produces an all-literal frame (compression-only mode).
-    With ``lanes > 1`` the literal compress stage runs through the
-    pipelined executor so codec CPU overlaps the frame copy-out.
+    ``pieces`` is the serializer's iovec (``dump_chunks`` output).
     ``digests`` (one per chunk) and ``out_crc`` are the stream's own, when
     the caller already holds them; what is missing is computed here.
     Returns ``(frame, stats)``; the caller compares ``len(frame)``
     against the full blob and falls back to monolithic when the recipe
     does not win.
     """
-    codec = codec if codec is not None else NullCodec()
-    null_codec = isinstance(codec, NullCodec)
     # The chunk_bounds grid as zero-copy views (it restarts at every piece).
     chunks: List[memoryview] = list(Chunker(chunk_bytes).split_pieces(pieces))
     out_len = sum(len(chunk) for chunk in chunks)
@@ -274,78 +252,30 @@ def encode_frame(
     if digests is None:
         digests = [_digest(chunk) for chunk in chunks]
 
-    reused: Dict[int, Tuple[int, int, bytes]] = {}
-    literal_idx: List[int] = []
-    for i, d in enumerate(digests):
-        hit = base.lookup(d) if base is not None else None
-        if hit is not None:
-            reused[i] = (hit[0], hit[1], d)
-        else:
-            literal_idx.append(i)
-
-    # Compress literals — in pipelined lanes when asked, so the codec
-    # overlaps the assemble copy below on multi-chunk frames.
-    def _compress(i: int) -> bytes:
-        return codec.encode(chunks[i])
-
-    encoded: Dict[int, bytes] = {}
-    if null_codec:
-        pass  # nothing to encode
-    elif lanes > 1 and len(literal_idx) > 1:
-        pipe = PipelinedTransfer(
-            [("compress", lambda i, _idx: (i, _compress(i)))],
-            lanes=lanes,
-            tracer=tracer,
-            metrics=metrics,
-            name="delta-compress",
-        )
-        for i, blob in pipe.run(literal_idx).results:
-            encoded[i] = blob
-    else:
-        for i in literal_idx:
-            encoded[i] = _compress(i)
-
     parts: List = [b""]  # placeholder for the header
-    bytes_reused = 0
-    bytes_literal = 0
-    saved_compression = 0
-    for i, chunk in enumerate(chunks):
-        if i in reused:
-            offset, length, d = reused[i]
-            parts.append(_REUSE.pack(_OP_REUSE, offset, length, d))
-            bytes_reused += length
-            continue
-        orig_len = len(chunk)
-        bytes_literal += orig_len
-        # The null codec ships the raw view (no copy before the join); so
-        # does an incompressible chunk, marked codec "none".
-        enc, codec_id = encoded.get(i, chunk), codec.wire_id
-        if len(enc) >= orig_len:
-            enc, codec_id = chunk, 0
-        parts.append(
-            _LITERAL.pack(_OP_LITERAL, codec_id, orig_len, len(enc), digests[i])
-        )
-        parts.append(enc)
-        saved_compression += orig_len - len(enc)
+    bytes_reused = chunks_reused = 0
+    for chunk, d in zip(chunks, digests):
+        hit = base.lookup(d)
+        if hit is not None:
+            parts.append(_REUSE.pack(_OP_REUSE, hit[0], hit[1], d))
+            bytes_reused += hit[1]
+            chunks_reused += 1
+        else:
+            # The raw view ships as is (no copy before the join).
+            n = len(chunk)
+            parts += (_LITERAL.pack(_OP_LITERAL, 0, n, n, d), chunk)
     parts[0] = _HEADER.pack(
-        DELTA_MAGIC,
-        _FRAME_VERSION,
-        len(base.blob) if base is not None else 0,
-        base.crc if base is not None else 0,
-        out_len,
-        out_crc,
-        len(chunks),
+        DELTA_MAGIC, _FRAME_VERSION, len(base.blob), base.crc,
+        out_len, out_crc, len(chunks),
     )
     frame = b"".join(parts)
     stats = DeltaStats(
-        mode="delta" if base is not None else "literal",
+        mode="delta",
         bytes_total=out_len,
         bytes_on_wire=len(frame),
         bytes_reused=bytes_reused,
-        bytes_literal=bytes_literal,
-        bytes_saved_compression=saved_compression,
         chunks_total=len(chunks),
-        chunks_reused=len(reused),
+        chunks_reused=chunks_reused,
     )
     return frame, stats
 
@@ -356,15 +286,23 @@ def is_delta_frame(blob) -> bool:
 
 
 def frame_info(frame) -> Dict[str, int]:
-    """Header fields of a v3 frame (without decoding the ops)."""
+    """Header fields of a v3 frame (without decoding the ops).
+
+    A blob without the magic is not a frame (:class:`StorageError`); one
+    with the magic but a short header or another version is a corrupt
+    frame (:class:`~repro.errors.IntegrityError`), so a retry re-fetches
+    it and the load counts as a corruption.
+    """
     mv = memoryview(frame)
-    if len(mv) < _HEADER.size or bytes(mv[:4]) != DELTA_MAGIC:
+    if bytes(mv[:4]) != DELTA_MAGIC:
         raise StorageError("not a delta frame (bad magic)")
+    if len(mv) < _HEADER.size:
+        raise IntegrityError("truncated delta frame (header)")
     magic, version, base_len, base_crc, out_len, out_crc, nops = (
         _HEADER.unpack_from(mv, 0)
     )
     if version != _FRAME_VERSION:
-        raise StorageError(f"unsupported delta frame version {version}")
+        raise IntegrityError(f"unsupported delta frame version {version}")
     return {
         "version": version,
         "base_len": base_len,
@@ -391,7 +329,7 @@ def decode_frame(frame, base_blob: Optional[bytes]) -> bytes:
     """Reconstruct the full v2 blob from a frame plus the held base.
 
     Verification is layered: reuse ops check the base range's digest,
-    literal ops check post-codec length and digest against the recipe,
+    literal ops check their reserved codec byte, length and digest,
     and the whole reconstruction checks against the frame's CRC-32 — any
     mismatch raises :class:`~repro.errors.IntegrityError` before a
     single byte can reach the double buffer.  A missing/mismatched base
@@ -471,19 +409,28 @@ def _reconstruct(frame, base: Optional[_HeldBase]) -> _HeldBase:
                 raise IntegrityError(
                     "truncated delta frame (literal op header)"
                 )
-            _tag, codec_id, orig_len, enc_len, digest = (
+            _tag, codec_id, size, enc_len, digest = (
                 _LITERAL.unpack_from(mv, pos)
             )
             pos += _LITERAL.size
-            if pos + enc_len > len(mv):
+            if codec_id != 0:
+                raise IntegrityError(
+                    f"literal op names codec {codec_id}; the byte is "
+                    f"reserved and always 0"
+                )
+            if enc_len != size:
+                raise IntegrityError(
+                    f"literal op carries {enc_len} bytes for a {size}-byte "
+                    f"chunk; literals ship raw",
+                    expected=size,
+                    actual=enc_len,
+                )
+            if pos + size > len(mv):
                 raise IntegrityError("truncated delta frame (literal)")
-            chunk = codec_for_id(codec_id).decode(
-                mv[pos : pos + enc_len], orig_len
-            )
-            pos += enc_len
+            chunk = mv[pos : pos + size]
+            pos += size
             if _digest(chunk) != digest:
                 raise IntegrityError("literal chunk digest mismatch")
-            size = len(chunk)
             parts += (base_mv[run_start:run_end], chunk)
             run_start = run_end = 0
         else:
@@ -526,7 +473,7 @@ class _ProducerEntry:
 class DeltaManager:
     """Negotiation state for the delta wire path (both ends).
 
-    Producer side: retains the last ``cache_versions`` monolithic blobs
+    Producer side: retains the last :data:`CACHE_VERSIONS` monolithic blobs
     (plus chunk indexes) per model, knows which version the consumer
     holds, and decides delta vs monolithic per save.  Consumer side:
     retains the reconstructed blob of the last successful load per
@@ -536,14 +483,9 @@ class DeltaManager:
     exercises the real fallback.
     """
 
-    def __init__(self, config: Optional[DeltaConfig] = None, *,
-                 serializer=None, lanes: int = 1,
-                 tracer=None, metrics=None):
+    def __init__(self, config: Optional[DeltaConfig] = None, *, serializer=None):
         self.config = config if config is not None else DeltaConfig()
         self.serializer = serializer
-        self.lanes = max(1, lanes)
-        self.tracer = tracer
-        self.metrics = metrics
         self._lock = threading.Lock()
         # producer: model -> {version: _ProducerEntry}, insertion-ordered
         self._produced: Dict[str, Dict[int, _ProducerEntry]] = {}
@@ -565,7 +507,7 @@ class DeltaManager:
         with self._lock:
             cache = self._produced.setdefault(model_name, {})
             cache[version] = entry
-            while len(cache) > self.config.cache_versions:
+            while len(cache) > CACHE_VERSIONS:
                 cache.pop(next(iter(cache)))
 
     def _entry(self, blob, state, piece_lengths) -> _ProducerEntry:
@@ -634,27 +576,23 @@ class DeltaManager:
                 else None
             )
         self._remember(model_name, version, entry)
-        codec = self.config.codec()
-        null_codec = isinstance(codec, NullCodec)
+        if base is None:
+            # No base: a frame could only add overhead.
+            return None, mono
         chunk_bytes = self.config.chunk_bytes
         blob = entry.blob
         ends = list(accumulate(entry.piece_lengths))
         spans = list(zip([0] + ends, ends))  # (start, end) of every piece
         carried = None
-        if base is None:
-            if null_codec:
-                # No base and nothing to compress: the frame could only
-                # add overhead.
-                return None, mono
-        elif base.piece_lengths == entry.piece_lengths:
+        if base.piece_lengths == entry.piece_lengths:
             # Same grid: an exact compare with the retained base blob says
             # which pieces changed, without hashing or parsing anything.
             old = memoryview(base.blob)
             same = [blob.startswith(old[a:b], a) for a, b in spans]
             changed = sum(b - a for (a, b), keep in zip(spans, same) if not keep)
-            if null_codec and changed >= self.config.full_change_threshold * len(blob):
-                # (Almost) everything changed and no codec can claw bytes
-                # back: the recipe cannot win, so nothing is hashed.
+            if changed >= FULL_CHANGE_THRESHOLD * len(blob):
+                # (Almost) everything changed: the recipe cannot win, so
+                # nothing is hashed.
                 return None, mono
             # Unchanged pieces take the base's digests for their chunk
             # range; only changed pieces are hashed.
@@ -666,14 +604,13 @@ class DeltaManager:
         index = self._index(entry, carried)
         mv = memoryview(blob)
         frame, stats = encode_frame(
-            self._index(base) if base is not None else None,
-            [mv[a:b] for a, b in spans], chunk_bytes, codec,
+            self._index(base), [mv[a:b] for a, b in spans], chunk_bytes,
             digests=index.digests, out_crc=index.crc,
-            lanes=self.lanes, tracer=self.tracer, metrics=self.metrics,
         )
         if len(frame) >= len(blob):
-            # The delta would be larger (fully-changed or incompressible
-            # payload): monolithic fallback, by construction never worse.
+            # The delta would be larger (a fully-changed payload on a
+            # shifted grid): monolithic fallback, by construction never
+            # worse.
             return None, mono
         return frame, stats
 

@@ -197,17 +197,14 @@ class ModelWeightsHandler:
         #: moves straight down the failover chain, loads move to the
         #: next-cheapest replica.
         self.breakers = breakers
-        #: Delta/compressed wire path (strictly opt-in; a disabled
-        #: manager leaves the monolithic path byte-for-byte intact).
-        #: ``delta`` is a DeltaConfig or a bool (True = the defaults, on).
+        #: Delta wire path (strictly opt-in; a disabled manager leaves
+        #: the monolithic path byte-for-byte intact).  ``delta`` is a
+        #: DeltaConfig or a bool (True = the defaults, on).
         self.delta = DeltaManager(
             delta
             if isinstance(delta, DeltaConfig)
             else DeltaConfig(enabled=bool(delta)),
             serializer=self.serializer,
-            lanes=self.pipeline.lanes if self.pipeline.enabled else 1,
-            tracer=self.tracer,
-            metrics=self.metrics,
         )
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.failover = failover
@@ -399,7 +396,7 @@ class ModelWeightsHandler:
                 # One immutable copy for the producer cache and the stores.
                 blob = bytes(blob)
             # Delta encode before the timing law: the law's wire terms
-            # scale to what actually moves.  Digest/codec CPU is a real
+            # scale to what actually moves.  Digest CPU is a real
             # (wall-clock) producer cost; the simulated law scales bytes.
             frame: Optional[bytes] = None
             dstats: Optional[DeltaStats] = None
@@ -419,7 +416,7 @@ class ModelWeightsHandler:
                     )
                     if frame is None and had_base:
                         # A base was negotiated but the recipe lost
-                        # (fully-changed or incompressible payload).
+                        # (a fully-changed payload).
                         self.stats.record_delta_fallback("encode")
                     dsp.set(
                         mode=dstats.mode,

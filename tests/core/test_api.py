@@ -44,22 +44,21 @@ class TestViperFacade:
 
 
 class TestDeltaKnobs:
-    def test_compression_none_keeps_delta_off(self):
-        # Naming a codec never opts a deployment into the delta path;
-        # only DeltaConfig.enabled does.
-        for codec in ("none", "zlib"):
-            with Viper(delta=DeltaConfig(compression=codec)) as viper:
+    def test_default_config_keeps_delta_off(self):
+        # Only DeltaConfig.enabled opts a deployment into the delta path.
+        for delta in (None, False, DeltaConfig(), DeltaConfig(chunk_bytes=4096)):
+            with Viper(delta=delta) as viper:
                 assert not viper.handler.delta.enabled
 
-    def test_compression_codec_enables_delta(self):
-        with Viper(delta=DeltaConfig(enabled=True, compression="zlib")) as viper:
+    def test_enabled_config_reaches_the_handler(self):
+        cfg = DeltaConfig(enabled=True, chunk_bytes=4096)
+        with Viper(delta=cfg) as viper:
             assert viper.handler.delta.enabled
-            assert viper.handler.delta.config.compression == "zlib"
+            assert viper.handler.delta.config is cfg
 
-    def test_delta_true_with_compression_none(self):
+    def test_delta_true_enables_the_defaults(self):
         with Viper(delta=True) as viper:
-            assert viper.handler.delta.enabled
-            assert viper.handler.delta.config.compression == "none"
+            assert viper.handler.delta.config == DeltaConfig(enabled=True)
 
 
 class TestConsumer:

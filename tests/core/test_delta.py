@@ -1,5 +1,6 @@
-"""Delta wire path: chunk grid, frame codec, manager negotiation."""
+"""Delta wire path: chunk grid, frame encode/decode, manager negotiation."""
 
+import dataclasses
 import zlib
 
 import numpy as np
@@ -12,14 +13,16 @@ from repro.errors import (
     StorageError,
 )
 from repro.dnn.serialization import ViperSerializer
-from repro.core.transfer.compression import available_codecs, get_codec
 from repro.core.transfer.delta import (
     _HEADER,
     _LITERAL,
+    _OP_LITERAL,
+    _REUSE,
     ChunkIndex,
     DeltaConfig,
     DeltaManager,
     DeltaStats,
+    CACHE_VERSIONS,
     chunk_bounds,
     decode_frame,
     encode_frame,
@@ -43,13 +46,33 @@ def pieces_and_lengths(serializer, state):
     return pieces, [memoryview(p).nbytes for p in pieces]
 
 
-def encode_against(serializer, base_state, new_state, chunk=CHUNK, codec=None):
+def encode_against(serializer, base_state, new_state, chunk=CHUNK):
     base_blob = serializer.dumps(base_state)
     _, base_lengths = pieces_and_lengths(serializer, base_state)
     index = ChunkIndex(base_blob, chunk, base_lengths)
     pieces, _ = pieces_and_lengths(serializer, new_state)
-    frame, stats = encode_frame(index, pieces, chunk, codec)
+    frame, stats = encode_frame(index, pieces, chunk)
     return base_blob, frame, stats
+
+
+def literal_ops(frame):
+    """Position of every literal op in ``frame``, in order."""
+    pos = _HEADER.size
+    for _ in range(frame_info(frame)["nops"]):
+        if frame[pos] == _OP_LITERAL:
+            yield pos
+            pos += _LITERAL.size + _LITERAL.unpack_from(frame, pos)[3]
+        else:
+            pos += _REUSE.size
+
+
+def rewritten(seed, n=4, shape=(32, 16)):
+    """A base and a same-shaped state whose every payload byte differs:
+    its frame is mostly literal ops."""
+    ser = ViperSerializer()
+    base, new = make_state(seed, n, shape), make_state(seed + 1000, n, shape)
+    base_blob, frame, stats = encode_against(ser, base, new)
+    return base_blob, frame, stats, new
 
 
 class TestChunkBounds:
@@ -111,26 +134,38 @@ class TestFrameCodec:
         assert stats.bytes_saved_dedup == stats.bytes_total
         assert decode_frame(frame, base_blob) == base_blob
 
-    def test_all_literal_frame_without_base(self):
-        ser = ViperSerializer()
-        state = make_state(3)
-        pieces, _ = pieces_and_lengths(ser, state)
-        frame, stats = encode_frame(None, pieces, CHUNK, get_codec("zlib"))
-        assert stats.mode == "literal"
-        assert stats.chunks_reused == 0
-        assert decode_frame(frame, None) == ser.dumps(state)
+    def test_literals_ship_raw_with_reserved_codec_byte(self):
+        # v3 literals carry no codec: the op's codec byte is always 0 and
+        # its payload is the chunk itself, so the frame is exactly the
+        # literal bytes plus the header and per-op overhead.
+        base_blob, frame, stats, new = rewritten(4, n=2)
+        nlit = 0
+        for pos in literal_ops(frame):
+            _tag, codec_id, orig_len, enc_len, _d = _LITERAL.unpack_from(frame, pos)
+            assert codec_id == 0 and enc_len == orig_len
+            nlit += 1
+        assert nlit == stats.chunks_total - stats.chunks_reused > 0
+        assert len(frame) == (
+            _HEADER.size + nlit * _LITERAL.size
+            + stats.chunks_reused * _REUSE.size
+            + stats.bytes_total - stats.bytes_reused
+        )
+        assert decode_frame(frame, base_blob) == ViperSerializer().dumps(new)
 
-    def test_incompressible_literals_ship_raw(self):
-        # Random float noise barely compresses: every chunk the zlib
-        # codec fails to shrink must ship raw (codec id 0), so the frame
-        # can never exceed literal bytes + per-op overhead.
-        ser = ViperSerializer()
-        state = make_state(4, n=2)
-        pieces, lengths = pieces_and_lengths(ser, state)
-        frame, stats = encode_frame(None, pieces, CHUNK, get_codec("zlib"))
-        overhead = _HEADER.size + stats.chunks_total * _LITERAL.size
-        assert len(frame) <= sum(lengths) + overhead
-        assert decode_frame(frame, None) == ser.dumps(state)
+    @pytest.mark.parametrize(
+        "field, value", [(1, 1), (3, 0)], ids=["codec_byte", "enc_len"]
+    )
+    def test_literal_op_must_ship_raw(self, field, value):
+        # A nonzero codec byte, or an encoded length that is not the
+        # chunk length, is a corrupt frame, not a codec to look up.
+        base_blob, frame, _, _ = rewritten(15)
+        pos = next(literal_ops(frame))
+        op = list(_LITERAL.unpack_from(frame, pos))
+        op[field] = value
+        bad = bytearray(frame)
+        _LITERAL.pack_into(bad, pos, *op)
+        with pytest.raises(IntegrityError, match="codec|ship raw"):
+            decode_frame(bytes(bad), base_blob)
 
     def test_frame_info_rejects_bad_magic(self):
         with pytest.raises(StorageError):
@@ -139,13 +174,17 @@ class TestFrameCodec:
             frame_info(b"VP")  # truncated before the magic completes
 
     def test_frame_info_rejects_unknown_version(self):
+        # The magic matched, so this is a frame and a bad header is
+        # corruption (retried, counted), not "some other blob".
         ser = ViperSerializer()
         base = make_state(5)
         _, frame, _ = encode_against(ser, base, base)
         bad = bytearray(frame)
         bad[4] = 99
-        with pytest.raises(StorageError):
+        with pytest.raises(IntegrityError):
             frame_info(bytes(bad))
+        with pytest.raises(IntegrityError):
+            frame_info(frame[: _HEADER.size - 1])
 
     def test_v2_blob_is_not_a_frame(self):
         ser = ViperSerializer()
@@ -166,32 +205,24 @@ class TestFrameCodec:
             decode_frame(frame, ser.dumps(make_state(9)))
 
     def test_corrupt_literal_raises_integrity_error(self):
-        ser = ViperSerializer()
-        state = make_state(10)
-        pieces, _ = pieces_and_lengths(ser, state)
-        frame, _ = encode_frame(None, pieces, CHUNK)  # null codec: raw literals
+        base_blob, frame, _, _ = rewritten(10)
         bad = bytearray(frame)
-        bad[_HEADER.size + _LITERAL.size] ^= 0xFF  # first literal payload byte
+        bad[next(literal_ops(frame)) + _LITERAL.size] ^= 0xFF  # payload byte
         with pytest.raises(IntegrityError):
-            decode_frame(bytes(bad), None)
+            decode_frame(bytes(bad), base_blob)
 
     def test_truncated_frame_raises_integrity_error(self):
-        ser = ViperSerializer()
-        state = make_state(11)
-        pieces, _ = pieces_and_lengths(ser, state)
-        frame, _ = encode_frame(None, pieces, CHUNK)
+        base_blob, frame, _, _ = rewritten(11)
         with pytest.raises(IntegrityError):
-            decode_frame(frame[: len(frame) // 2], None)
+            decode_frame(frame[: len(frame) // 2], base_blob)
 
     def test_truncated_literal_op_header_raises_integrity_error(self):
         # Regression: cutting the frame mid-op-header used to escape as
         # struct.error instead of IntegrityError.
-        ser = ViperSerializer()
-        state = make_state(13)
-        pieces, _ = pieces_and_lengths(ser, state)
-        frame, _ = encode_frame(None, pieces, CHUNK)
+        base_blob, frame, _, _ = rewritten(13)
+        pos = next(literal_ops(frame))
         with pytest.raises(IntegrityError):
-            decode_frame(frame[: _HEADER.size + 1], None)
+            decode_frame(frame[: pos + 1], base_blob)
 
     def test_truncated_reuse_op_header_raises_integrity_error(self):
         ser = ViperSerializer()
@@ -200,44 +231,28 @@ class TestFrameCodec:
         with pytest.raises(IntegrityError):
             decode_frame(frame[: _HEADER.size + 1], base_blob)
 
-    def test_lanes_match_serial_encode(self):
-        ser = ViperSerializer()
-        base = make_state(12)
-        new = {k: v + 1.0 for k, v in base.items()}
-        base_blob = ser.dumps(base)
-        _, base_lengths = pieces_and_lengths(ser, base)
-        index = ChunkIndex(base_blob, CHUNK, base_lengths)
-        pieces, _ = pieces_and_lengths(ser, new)
-        codec = get_codec("zlib")
-        serial, _ = encode_frame(index, pieces, CHUNK, codec, lanes=1)
-        pieces, _ = pieces_and_lengths(ser, new)
-        laned, _ = encode_frame(index, pieces, CHUNK, codec, lanes=3)
-        assert serial == laned
-
 
 class TestDeltaConfig:
     def test_defaults_off(self):
         cfg = DeltaConfig()
         assert not cfg.enabled
-        assert cfg.compression == "none"
+        fields = [f.name for f in dataclasses.fields(cfg)]
+        assert fields == ["enabled", "chunk_bytes"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(chunk_bytes=0),
-            dict(full_change_threshold=0.0),
-            dict(full_change_threshold=1.5),
-            dict(cache_versions=0),
-            dict(compression="bogus"),
+            dict(chunk_bytes=-1),
+            # No longer knobs: module constants, or gone with the codec.
+            dict(full_change_threshold=0.9),
+            dict(cache_versions=4),
+            dict(compression="none"),
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises((ConfigurationError, TypeError)):
             DeltaConfig(**kwargs)
-
-    def test_codec_resolves(self):
-        assert "zlib" in available_codecs()
-        assert DeltaConfig(compression="zlib").codec().name == "zlib"
 
 
 class TestDeltaStats:
@@ -268,7 +283,7 @@ class TestDeltaManager:
         assert frame is None and stats.mode == "monolithic"
         assert stats.bytes_on_wire == len(blob)
 
-    def test_no_base_null_codec_monolithic(self):
+    def test_no_base_monolithic(self):
         mgr = self._manager()
         state = make_state(21)
         blob = ViperSerializer().dumps(state)
@@ -321,13 +336,15 @@ class TestDeltaManager:
 
     def test_cache_eviction_bounds_retention(self):
         ser = ViperSerializer()
-        mgr = self._manager(cache_versions=2)
+        mgr = self._manager()
         state = make_state(25)
-        for v in range(1, 5):
+        last = CACHE_VERSIONS + 2
+        for v in range(1, last + 1):
             mgr.encode_for_save("m", v, ser.dumps(state), state=state)
         assert mgr.full_blob("m", 1) is None
         assert mgr.full_blob("m", 2) is None
-        assert mgr.full_blob("m", 4) is not None
+        for v in range(3, last + 1):  # the newest CACHE_VERSIONS survive
+            assert mgr.full_blob("m", v) is not None
 
     def test_remember_saved_enables_later_diff(self):
         # A direct-PFS save ships monolithic but still seeds the cache.
@@ -362,10 +379,9 @@ class TestDeltaProperties:
         changed=st.sets(st.integers(0, 5)),
         seed=st.integers(0, 2**16),
         chunk=st.sampled_from([64, 256, 4096]),
-        codec=st.sampled_from(["none", "zlib"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_reconstruct_equals_original(self, n, changed, seed, chunk, codec):
+    def test_reconstruct_equals_original(self, n, changed, seed, chunk):
         # Covers zero-change (empty set), partial, and full mutation.
         ser = ViperSerializer()
         base = make_state(seed, n=n, shape=(8, 8))
@@ -373,9 +389,7 @@ class TestDeltaProperties:
         for i in changed:
             if i < n:
                 new[f"t{i}"] = new[f"t{i}"] + float(i + 1)
-        base_blob, frame, stats = encode_against(
-            ser, base, new, chunk=chunk, codec=get_codec(codec)
-        )
+        base_blob, frame, stats = encode_against(ser, base, new, chunk=chunk)
         assert decode_frame(frame, base_blob) == ser.dumps(new)
         if not {i for i in changed if i < n}:
             assert stats.chunks_reused == stats.chunks_total
@@ -408,14 +422,10 @@ class TestDeltaProperties:
         # Flip any byte of the first literal's payload: the per-chunk
         # digest must catch it — corrupt bytes never come back as a
         # valid blob.
-        ser = ViperSerializer()
-        state = make_state(seed, n=2, shape=(8, 8))
-        pieces = list(ser.dump_chunks(state))
-        frame, _ = encode_frame(None, pieces, CHUNK)
-        _tag, _codec, _orig, enc_len, _d = _LITERAL.unpack_from(
-            frame, _HEADER.size
-        )
+        base_blob, frame, _, _ = rewritten(seed, n=2, shape=(8, 8))
+        pos = next(literal_ops(frame))
+        enc_len = _LITERAL.unpack_from(frame, pos)[3]
         bad = bytearray(frame)
-        bad[_HEADER.size + _LITERAL.size + (burn % enc_len)] ^= 0xA5
+        bad[pos + _LITERAL.size + (burn % enc_len)] ^= 0xA5
         with pytest.raises(IntegrityError):
-            decode_frame(bytes(bad), None)
+            decode_frame(bytes(bad), base_blob)

@@ -46,14 +46,12 @@ class TestStatsManager:
         stats = StatsManager()
         stats.record_wire(1000, 1000)
         frame = DeltaStats(mode="delta", bytes_total=100, bytes_on_wire=30,
-                           bytes_reused=60, bytes_saved_compression=10,
-                           chunks_total=10, chunks_reused=6)
+                           bytes_reused=60, chunks_total=10, chunks_reused=6)
         stats.record_wire(1000, 300, frame)
         snap = stats.snapshot()
         assert snap.bytes_total == 2000
         assert snap.bytes_on_wire == 1300
         assert snap.bytes_saved_dedup == 600
-        assert snap.bytes_saved_compression == 100
         assert snap.delta_chunks_total == 10
         assert snap.delta_chunks_reused == 6
         assert snap.delta_hits == 1

@@ -1,12 +1,12 @@
-"""Differential property test: four wire paths, one byte stream.
+"""Differential property test: three wire paths, one byte stream.
 
 A random sequence of versions (full-change, sparse, zero-change and
 re-gridded saves, with the consumer loading only some of them) runs
-through ``Viper.save_weights`` -> ``load_weights`` under four
+through ``Viper.save_weights`` -> ``load_weights`` under three
 configurations.  Every load must return the saved state byte for byte
-(monolithic == pipelined == delta == delta+zlib), and every save of the
-two delta configurations must stage exactly the bytes the reference
-producer below emits.  The reference hashes every chunk of every blob
+(monolithic == pipelined == delta), and every save of the delta
+configuration must stage exactly the bytes the reference producer below
+emits.  The reference hashes every chunk of every blob
 and carries nothing from one save to the next, so any digest or CRC the
 real producer carries wrongly shows up as a different frame.
 """
@@ -24,6 +24,8 @@ from repro.core.transfer.delta import (
     _HEADER,
     _LITERAL,
     _REUSE,
+    CACHE_VERSIONS,
+    FULL_CHANGE_THRESHOLD,
     DeltaConfig,
     is_delta_frame,
 )
@@ -48,29 +50,23 @@ def _grid(lengths):
         offset += n
 
 
-def reference_frame(base, blob, lengths, codec):
-    """The v3 frame for ``blob`` against ``base`` = (blob, lengths) | None,
+def reference_frame(base, blob, lengths):
+    """The v3 frame for ``blob`` against ``base`` = (blob, lengths),
     hashing every chunk of both."""
+    base_blob = base[0]
     index = {}
-    base_blob = base[0] if base is not None else b""
-    if base is not None:
-        for o, n in _grid(base[1]):
-            index.setdefault(_digest(base_blob[o : o + n]), (o, n))
+    for o, n in _grid(base[1]):
+        index.setdefault(_digest(base_blob[o : o + n]), (o, n))
     ops = []
     for o, n in _grid(lengths):
         chunk = blob[o : o + n]
         d = _digest(chunk)
         if d in index:
             ops.append(_REUSE.pack(0, *index[d], d))
-            continue
-        enc, codec_id = chunk, 0
-        if codec == "zlib":
-            packed = zlib.compress(chunk, 1)
-            if len(packed) < n:  # else: ships raw, marked codec "none"
-                enc, codec_id = packed, 1
-        ops.append(_LITERAL.pack(1, codec_id, n, len(enc), d) + enc)
+        else:  # codec byte reserved (0); the literal ships raw
+            ops.append(_LITERAL.pack(1, 0, n, n, d) + chunk)
     header = _HEADER.pack(
-        b"VPRD", 3, len(base_blob), zlib.crc32(base_blob) if base else 0,
+        b"VPRD", 3, len(base_blob), zlib.crc32(base_blob),
         len(blob), zlib.crc32(blob), len(ops),
     )
     return header + b"".join(ops)
@@ -79,8 +75,7 @@ def reference_frame(base, blob, lengths, codec):
 class ReferenceProducer:
     """The negotiation rules, restated: which bytes a save stages."""
 
-    def __init__(self, config: DeltaConfig):
-        self.config = config
+    def __init__(self):
         self.cache = OrderedDict()  # version -> (blob, piece lengths)
         self.held = None            # version the consumer last loaded
 
@@ -89,32 +84,29 @@ class ReferenceProducer:
         blob = SER.dumps(state)
         base = self.cache.get(self.held)
         self.cache[version] = (blob, lengths)
-        while len(self.cache) > self.config.cache_versions:
+        while len(self.cache) > CACHE_VERSIONS:
             self.cache.popitem(last=False)
-        codec = self.config.compression
-        if base is None and codec == "none":
+        if base is None:
             return blob
-        if base is not None and codec == "none" and base[1] == lengths:
+        if base[1] == lengths:
             changed, offset = 0, 0
             for n in lengths:
                 if blob[offset : offset + n] != base[0][offset : offset + n]:
                     changed += n
                 offset += n
-            if changed >= self.config.full_change_threshold * len(blob):
+            if changed >= FULL_CHANGE_THRESHOLD * len(blob):
                 return blob
-        frame = reference_frame(base, blob, lengths, codec)
+        frame = reference_frame(base, blob, lengths)
         return frame if len(frame) < len(blob) else blob
 
 
 def _configs():
     pipe = PipelineConfig(enabled=True, chunk_bytes=200, lanes=2)
     delta = DeltaConfig(enabled=True, chunk_bytes=CHUNK)
-    zdelta = DeltaConfig(enabled=True, chunk_bytes=CHUNK, compression="zlib")
     return {
         "monolithic": dict(),
         "pipelined": dict(pipeline=pipe),
         "delta": dict(pipeline=pipe, delta=delta),
-        "delta+zlib": dict(delta=zdelta),
     }
 
 
@@ -153,9 +145,7 @@ def run_sequence(seed, sizes, steps):
     states = list(_versions(seed, sizes, steps))
     loaded = {}
     for name, kwargs in _configs().items():
-        reference = (
-            ReferenceProducer(kwargs["delta"]) if "delta" in kwargs else None
-        )
+        reference = ReferenceProducer() if "delta" in kwargs else None
         outputs = []
         with Viper(**kwargs) as viper:
             for (_kind, _mask, load), state in zip(steps, states):
@@ -206,7 +196,7 @@ def test_named_scenario_covers_every_producer_branch():
     """One fixed sequence through each branch the property can reach:
     baseless save, sparse carry, zero change, the monolithic early-out
     followed by a diff against it (lazy index), a shifted grid, a new
-    piece, and a held base that fell out of ``cache_versions``."""
+    piece, and a held base that fell out of the producer cache."""
     some, none = [False, True, False, False, False, False], [False] * 6
     steps = [
         ("full", none, True),     # v1: no base yet
@@ -217,7 +207,7 @@ def test_named_scenario_covers_every_producer_branch():
         ("grow", none, True),     # v6: grid shifted -> full hashing
         ("add", none, True),      # v7: piece count changed
         ("sparse", some, False),  # v8..v12 unloaded: v7 is evicted from
-        ("sparse", some, False),  # the producer cache (cache_versions=4)
+        ("sparse", some, False),  # the producer cache (CACHE_VERSIONS=4)
         ("sparse", some, False),
         ("sparse", some, False),
         ("sparse", some, False),
@@ -228,7 +218,7 @@ def test_named_scenario_covers_every_producer_branch():
     run_sequence(7, sizes, steps)
     # The scenario did exercise frames, not only whole blobs.
     states = list(_versions(7, sizes, steps))
-    reference = ReferenceProducer(DeltaConfig(enabled=True, chunk_bytes=CHUNK))
+    reference = ReferenceProducer()
     kinds = []
     for version, ((_k, _m, load), state) in enumerate(zip(steps, states), 1):
         kinds.append(is_delta_frame(reference.wire(version, state)))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro import CaptureMode, TransferStrategy, Viper
-from repro.core.transfer.delta import DeltaConfig
 
 
 def fleet_state(seed=0, n=8, shape=(64, 32)):
@@ -95,18 +94,48 @@ class TestDeltaEndToEnd:
             for key in v2:
                 np.testing.assert_array_equal(loaded.state[key], v2[key])
 
-    def test_compression_only_first_save(self):
-        # No base exists for version 1, but a codec still shrinks the
-        # wire: an all-literal compressed frame ships when it wins.
-        state = {"z": np.zeros((256, 256), dtype=np.float32)}
-        with Viper(delta=DeltaConfig(enabled=True, compression="zlib")) as viper:
+    def test_first_save_ships_whole(self):
+        # No base exists for version 1: the frame could only add bytes.
+        with Viper(delta=True) as viper:
             result = viper.save_weights(
-                "m", state, mode=CaptureMode.SYNC,
+                "m", fleet_state(seed=5), mode=CaptureMode.SYNC,
                 strategy=TransferStrategy.HOST_TO_HOST,
             )
-            assert 0 < result.record.wire_bytes < result.record.nbytes // 10
-            loaded = viper.load_weights("m")
-            np.testing.assert_array_equal(loaded.state["z"], state["z"])
+            assert result.record.wire_bytes == 0
+            assert viper.handler.stats.snapshot().delta_hits == 0
+
+    def test_corrupt_frame_header_is_a_counted_corruption(self):
+        # Regression: a staged frame whose header no longer parses (its
+        # version byte flipped) raised StorageError, so the load was
+        # neither counted as a corruption nor as a rejected swap.
+        from repro.dnn.layers import Dense
+        from repro.dnn.models import Sequential
+        from repro.errors import IntegrityError, RetriesExhausted
+
+        def builder():
+            return Sequential([Dense(64, name="d")], input_shape=(64,), seed=7)
+
+        kw = dict(mode=CaptureMode.SYNC, strategy=TransferStrategy.HOST_TO_HOST)
+        with Viper(delta=True) as viper:
+            consumer = viper.consumer(model_builder=builder)
+            v1 = builder().state_dict()
+            viper.save_weights("m", v1, **kw)
+            consumer.apply_update("m")
+            v2 = perturb(v1, ["d/b"])  # sparse: the weight matrix is reused
+            res = viper.save_weights("m", v2, **kw)
+            store = viper.consumer_node.dram
+            frame, _ = store.get(res.record.path)
+            assert 0 < res.record.wire_bytes < res.record.nbytes
+            bad = bytearray(frame)
+            bad[4] ^= 0xFF  # the frame version: 3 -> 252
+            store.put(res.record.path, bytes(bad))
+            with pytest.raises(RetriesExhausted) as info:
+                consumer.apply_update("m")
+            assert isinstance(info.value.__cause__, IntegrityError)
+            snap = viper.handler.stats.snapshot()
+            assert snap.corruptions == snap.retries + 1
+            assert snap.swaps_rejected == 1
+            assert consumer.current_version == 1
 
     def test_delta_off_keeps_monolithic_accounting(self):
         with Viper() as viper:

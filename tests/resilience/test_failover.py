@@ -99,7 +99,7 @@ class TestEndToEndFailover:
     def test_pfs_failover_reverts_delta_wire_accounting(self):
         # Regression: record_wire runs optimistically at encode time;
         # when staging fails over into the PFS the monolithic blob
-        # actually ships, so the recorded dedup/compression savings
+        # actually ships, so the recorded dedup savings
         # must be undone in the stats counters too (the record's
         # wire_bytes already reverted).
         rng = np.random.default_rng(3)
@@ -120,7 +120,6 @@ class TestEndToEndFailover:
             snap = viper.handler.stats.snapshot()
         assert snap.bytes_on_wire == snap.bytes_total
         assert snap.bytes_saved_dedup == 0
-        assert snap.bytes_saved_compression == 0
         assert snap.delta_hits == 0
         assert snap.delta_fallbacks >= 1
 

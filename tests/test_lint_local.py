@@ -10,7 +10,8 @@ findings on ``src/repro``:
 - a mutable default argument (a list/dict/set literal or a ``list()`` /
   ``dict()`` / ``set()`` call);
 - a function or class defined twice in one scope (``@overload`` and
-  property setters/deleters excepted).
+  property setters/deleters excepted);
+- a module that no entry point imports (see :data:`ENTRY_POINTS`).
 
 ``make lint-local`` runs this plus ``python -m compileall -q src``.
 """
@@ -24,6 +25,39 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 ALL_MODULES = sorted(SRC.rglob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 MUTABLE_CALLS = {"list", "dict", "set"}
+
+#: What a deployment or a user runs, declared once: ``(module, name)``.
+#: ``python -m repro`` is ``repro.__main__``, which runs ``repro.cli``.
+ENTRY_POINTS = (
+    ("repro.core.api", "Viper"),
+    ("repro.core.api", "ViperConsumer"),
+    ("repro.serving.server", "InferenceServer"),
+    ("repro.core.callback", "CheckpointCallback"),
+    ("repro.cli", "main"),
+    ("repro.__main__", "main"),
+)
+
+#: Modules no entry point imports, with what would take each off.  This
+#: list may only shrink: wire a module in or delete it, and remove its
+#: line; never add one.
+UNREACHABLE_ALLOWLIST = {
+    # Figure-table helpers for tests and benchmarks: move into
+    # benchmarks/ or obs/report.py.
+    "repro.analysis.metrics",
+    # Training-state capture: wire into continuous checkpointing, or
+    # delete it with its example.
+    "repro.dnn.checkpointing",
+    # The per-tensor repository ablation: re-express on a tensor-keyed
+    # piece cache in the transfer path.
+    "repro.repository.tensor_store",
+    # Request generator of workflow.live and the polling ablation.
+    "repro.serving.client",
+    # The polling baseline of the push-vs-poll ablation.
+    "repro.serving.polling",
+    # The threaded live runner: goes with the simulated twins once one
+    # experiment runner drives the real path.
+    "repro.workflow.live",
+}
 
 
 def _bound_names(node):
@@ -121,6 +155,112 @@ def duplicate_definitions(tree):
                     found.append((node.lineno, node.name))
                 seen.add(node.name)
     return found
+
+
+def _module_paths(root: Path, package: str):
+    """Dotted module name -> path, for every module under ``root/package``."""
+    out = {}
+    for path in sorted((root / package).rglob("*.py")):
+        parts = list(path.relative_to(root).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        out[".".join(parts)] = path
+    return out
+
+
+def _imports(name: str, path: Path):
+    """``(module, bound names)`` for every import in a module, at any
+    depth (function-level imports too); relative imports resolved.
+    ``import a.b`` binds nothing by name: its names are ``()``."""
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, ()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
+                module = ".".join(anchor + ([module] if module else []))
+            yield module, tuple(alias.name for alias in node.names)
+
+
+def unreachable_modules(root: Path, package: str, entries):
+    """Modules under ``root/package`` that no module in ``entries``
+    imports, directly or transitively.
+
+    A package ``__init__`` is not an edge: importing a name from a
+    package reaches the module the ``__init__`` re-exports it from, not
+    every module the ``__init__`` imports.
+    """
+    paths = _module_paths(root, package)
+    imports = {name: list(_imports(name, path)) for name, path in paths.items()}
+    is_package = {name: path.name == "__init__.py" for name, path in paths.items()}
+
+    def targets(module, names):
+        if module not in paths:
+            return  # outside the package
+        if not names:
+            yield module
+        for name in names:
+            if f"{module}.{name}" in paths:
+                yield f"{module}.{name}"
+            elif is_package[module]:
+                # Follow the re-export of ``name``, if the package has one.
+                source = next(
+                    (m for m, bound in imports[module] if name in bound), None
+                )
+                yield from targets(source, (name,)) if source else (module,)
+            else:
+                yield module
+
+    seen = set()
+    todo = list(entries)
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        if not is_package[module]:
+            for source, names in imports[module]:
+                todo.extend(targets(source, names))
+    return {name for name in paths if not is_package[name]} - seen
+
+
+def test_entry_points_are_declared_where_they_live():
+    paths = _module_paths(SRC.parent, "repro")
+    for module, name in ENTRY_POINTS:
+        tree = ast.parse(paths[module].read_text())
+        bound = {
+            getattr(node, "name", None) for node in tree.body
+        } | {alias.asname or alias.name for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+        assert name in bound, (module, name)
+
+
+def test_every_module_is_reachable_from_an_entry_point():
+    unreachable = unreachable_modules(
+        SRC.parent, "repro", [module for module, _ in ENTRY_POINTS]
+    )
+    # Equality: a newly orphaned module fails, and so does an allowlist
+    # line whose module was wired in or deleted.
+    assert unreachable == set(UNREACHABLE_ALLOWLIST)
+
+
+def test_gate_catches_an_orphan_module(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    files = {
+        # The package imports the orphan, but only to re-export it.
+        "__init__.py": "from pkg.orphan import Orphan\nfrom pkg.used import helper\n",
+        "entry.py": "def run():\n    from pkg import helper\n    return helper()\n",
+        "used.py": "from . import leaf\n\ndef helper():\n    return leaf.X\n",
+        "leaf.py": "X = 1\n",
+        "orphan.py": "class Orphan:\n    pass\n",
+    }
+    for name, text in files.items():
+        (pkg / name).write_text(text)
+    assert unreachable_modules(tmp_path, "pkg", ["pkg.entry"]) == {"pkg.orphan"}
 
 
 def test_modules_found():

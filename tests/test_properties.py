@@ -281,68 +281,6 @@ class TestSmoothing:
         assert smoothed.shape == y.shape
 
 
-@st.composite
-def snapshot_pairs(draw):
-    """A base snapshot and a mutation of it (same tensor set/shapes)."""
-    n = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
-    base = {}
-    for i in range(n):
-        shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
-        base[f"t{i}"] = rng.standard_normal(shape).astype(np.float32)
-    curr = {k: v.copy() for k, v in base.items()}
-    # Mutate a random subset: whole tensors, single rows, or nothing.
-    for name in base:
-        action = draw(st.sampled_from(["none", "full", "row"]))
-        if action == "full":
-            curr[name] = curr[name] + 1.0
-        elif action == "row" and curr[name].ndim >= 2:
-            curr[name][0] += 1.0
-    return base, curr
-
-
-class TestDeltaRoundtrip:
-    @given(snapshot_pairs())
-    @settings(max_examples=50, deadline=None)
-    def test_encode_apply_is_identity(self, pair):
-        from repro.core.transfer.incremental import apply_delta, encode_delta
-
-        base, curr = pair
-        delta = encode_delta(base, curr, base_version=1)
-        restored = apply_delta(base, delta)
-        assert set(restored) == set(curr)
-        for key in curr:
-            np.testing.assert_array_equal(restored[key], curr[key])
-
-    @given(snapshot_pairs())
-    @settings(max_examples=50, deadline=None)
-    def test_delta_never_larger_than_full_plus_marker(self, pair):
-        from repro.core.transfer.incremental import (
-            delta_payload_bytes,
-            encode_delta,
-        )
-
-        base, curr = pair
-        delta = encode_delta(base, curr, base_version=1)
-        full = sum(int(t.nbytes) for t in curr.values())
-        # Worst case: every tensor ships whole + the 8-byte marker +
-        # per-tensor row indices never exceed the row payloads they index.
-        assert delta_payload_bytes(delta) <= 2 * full + 8
-
-    @given(snapshot_pairs())
-    @settings(max_examples=30, deadline=None)
-    def test_delta_survives_serialization(self, pair):
-        from repro.core.transfer.incremental import apply_delta, encode_delta
-        from repro.dnn.serialization import ViperSerializer
-
-        base, curr = pair
-        ser = ViperSerializer()
-        delta = ser.loads(ser.dumps(encode_delta(base, curr, base_version=2)))
-        restored = apply_delta(base, delta, expected_base_version=2)
-        for key in curr:
-            np.testing.assert_array_equal(restored[key], curr[key])
-
-
 class TestRetentionProperties:
     @given(
         st.sets(st.integers(1, 200), min_size=1, max_size=40),
