@@ -44,10 +44,14 @@ bench-overload:
 
 # The repository's benchmark (BENCHMARK.json): all five workloads through
 # the real Viper -> ViperConsumer -> InferenceServer path, ~80 s.  Compare
-# two result files with benchmarks/e2e/compare.py.
-#   make bench-e2e SEED=3
+# two result files with benchmarks/e2e/compare.py.  The run is appended to
+# benchmarks/results/trajectory.jsonl under LABEL (default: the checkout's
+# git describe, "-dirty" when uncommitted changes were measured).
+#   make bench-e2e SEED=3 LABEL="my change"
+LABEL ?= $(shell git describe --always --dirty 2>/dev/null || echo unlabelled)
 bench-e2e:
 	python3 benchmarks/e2e/run.py --seed $(SEED) --out benchmarks/results/BENCH_e2e.json
+	python3 benchmarks/trajectory.py --label "$(LABEL)"
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; python $$ex || exit 1; done

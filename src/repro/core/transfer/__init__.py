@@ -10,8 +10,9 @@
 - :mod:`flush` — the background thread flushing historical checkpoints
   to the PFS for fault tolerance.
 - :mod:`engine` — the producer-side asynchronous capture/transfer worker.
-- :mod:`pipeline` — the chunked, pipelined, zero-copy transfer path
-  (Chunker / BufferPool / PipelinedTransfer) and its config knob.
+- :mod:`pipeline` — the chunked, zero-copy transfer path (Chunker /
+  BufferPool / the one-pass ``serialize_pipelined``) and its config
+  knob, whose stage overlap is a simulated law.
 - :mod:`delta` — the delta wire path (chunk digests, recipe frames,
   DeltaManager negotiation); the one mechanism that ships only what
   changed.
@@ -32,7 +33,6 @@ from repro.core.transfer.pipeline import (
     BufferPool,
     Chunker,
     PipelineConfig,
-    PipelinedTransfer,
 )
 from repro.core.transfer.strategies import (
     CaptureMode,
@@ -56,7 +56,6 @@ __all__ = [
     "PipelineConfig",
     "Chunker",
     "BufferPool",
-    "PipelinedTransfer",
     "ChunkIndex",
     "DeltaConfig",
     "DeltaManager",

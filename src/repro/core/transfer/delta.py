@@ -32,7 +32,7 @@ application still saves and loads whole state dicts.
 5. **Reconstruction** — the consumer replays the recipe against its held
    base blob, verifying every reused chunk's digest, every literal's
    length and digest, and finally the whole reconstructed blob's CRC-32
-   — *then* the inner v2 header checksum verifies again inside
+   — *then* the inner v2 header checksum is compared again inside
    ``Serializer.loads`` before the double-buffer swap.  Corruption at
    any level raises :class:`~repro.errors.IntegrityError`; a missing or
    mismatched base raises :class:`DeltaBaseError` so the handler can
@@ -41,7 +41,13 @@ application still saves and loads whole state dicts.
 Every byte is hashed once per side: digests and CRCs that one step
 computed or verified travel with the blob as data (``ChunkIndex`` on the
 producer, the held base's CRC and ``(offset, length) -> digest`` table
-on the consumer) instead of being recomputed by the next step.  A bare
+on the consumer) instead of being recomputed by the next step.  The two
+CRC-32s over one blob — the v2 header's over its payload and the
+frame's over the whole — are derived from each other with
+:func:`~repro.dnn.serialization.crc32_combine`: the producer's out-CRC
+from the header ``dump_chunks`` just wrote (``Serializer.blob_crc``),
+the consumer's inner check from the verified out-CRC
+(:meth:`DeltaManager.decoded_crc` -> ``loads(..., blob_crc=)``).  A bare
 :func:`encode_frame` / :func:`decode_frame` call carries nothing and
 hashes everything; ``docs/architecture.md`` tabulates who hashes what.
 
@@ -527,6 +533,12 @@ class DeltaManager:
             entry.index = ChunkIndex(
                 entry.blob, self.config.chunk_bytes, entry.piece_lengths,
                 digests=digests,
+                # The serializer derives it from the header it wrote.
+                crc=(
+                    self.serializer.blob_crc(entry.blob)
+                    if self.serializer is not None
+                    else None
+                ),
             )
         return entry.index
 
@@ -560,7 +572,10 @@ class DeltaManager:
         Always retains ``blob`` for future diffs and for the consumer's
         missing-base fallback, even when the decision is monolithic.
         ``piece_lengths`` (when non-empty) is the serializer's piece grid,
-        from the ``dump_chunks`` pass that produced ``blob``.
+        from the ``dump_chunks`` pass that produced ``blob``.  ``blob`` is
+        that serializer's own output: its CRC comes from
+        ``serializer.blob_crc``, which takes the header at its word (a
+        header that lied would fail the consumer's out-CRC check).
         """
         mono = DeltaStats(
             mode="monolithic", bytes_total=len(blob), bytes_on_wire=len(blob)
@@ -625,6 +640,16 @@ class DeltaManager:
         with self._lock:
             self._decoded[model_name] = decoded
         return decoded.blob
+
+    def decoded_crc(self, model_name: str, blob) -> Optional[int]:
+        """The verified out-CRC of ``blob`` when it is the very object
+        :meth:`decode_for_load` last returned for the model (the identity
+        rule :meth:`register_loaded` follows), else None."""
+        with self._lock:
+            decoded = self._decoded.get(model_name)
+        if decoded is None or decoded.blob is not blob:
+            return None
+        return decoded.crc
 
     def register_loaded(self, model_name: str, version: int, blob: bytes) -> None:
         """A consumer finished loading ``version``: new negotiation base.

@@ -66,11 +66,7 @@ from repro.core.transfer.delta import (
 )
 from repro.core.transfer.engine import AsyncTransferEngine, TransferJob
 from repro.core.transfer.flush import BackgroundFlusher, FlushJob
-from repro.core.transfer.pipeline import (
-    BufferPool,
-    PipelineConfig,
-    serialize_pipelined,
-)
+from repro.core.transfer.pipeline import PipelineConfig, serialize_pipelined
 from repro.core.transfer.selector import TransferSelector
 from repro.core.transfer.strategies import (
     CaptureMode,
@@ -189,8 +185,6 @@ class ModelWeightsHandler:
         self.flush_history = flush_history
         self.retention = retention
         self.pipeline = pipeline if pipeline is not None else PipelineConfig()
-        #: Reusable staging buffers for the pipelined serialize path.
-        self.buffer_pool = BufferPool(max_buffers=4)
         self.stats = stats if stats is not None else StatsManager(metrics=self.metrics)
         #: Optional per-site circuit breakers (BreakerBoard).  A tripped
         #: site is skipped without burning its retry budget: staging
@@ -375,26 +369,14 @@ class ModelWeightsHandler:
                 track="producer",
                 pipelined=self.pipeline.enabled,
             ):
-                # Filled by the one dump_chunks pass that assembles the blob,
-                # so the delta chunk grid needs no second (checksumming) pass.
+                # One dump_chunks pass and one join, in every configuration:
+                # the immutable blob that the producer cache, the stores and
+                # the flusher share, and the piece grid the delta chunk grid
+                # follows, so no second (checksumming) pass is needed.
                 lengths: List[int] = []
-                if self.pipeline.enabled:
-                    # Chunked capture: zero-copy iovec pieces streamed into
-                    # one staging buffer (single copy, overlapped).
-                    blob = serialize_pipelined(
-                        self.serializer,
-                        state,
-                        self.pipeline,
-                        tracer=self.tracer,
-                        metrics=self.metrics,
-                        trace_ctx=ctx.to_header() if ctx is not None else "",
-                        piece_lengths=lengths,
-                    )
-                else:
-                    blob = self.serializer.dumps(state)
-            if self.delta.enabled:
-                # One immutable copy for the producer cache and the stores.
-                blob = bytes(blob)
+                blob = serialize_pipelined(
+                    self.serializer, state, piece_lengths=lengths
+                )
             # Delta encode before the timing law: the law's wire terms
             # scale to what actually moves.  Digest CPU is a real
             # (wall-clock) producer cost; the simulated law scales bytes.
@@ -758,8 +740,12 @@ class ModelWeightsHandler:
             try:
                 # Zero-copy fast path: the pipelined consumer reads the
                 # weights in place (read-only views over the staged blob).
+                # A reconstruction's verified out-CRC is handed on, so the
+                # inner v2 check derives its CRC instead of re-reading.
                 state = self.serializer.loads(
-                    blob, copy=not self.pipeline.enabled
+                    blob,
+                    copy=not self.pipeline.enabled,
+                    blob_crc=self.delta.decoded_crc(record.model_name, blob),
                 )
             except IntegrityError:
                 self.stats.record_corruption(location)

@@ -26,13 +26,19 @@ transfer pipeline (:mod:`repro.core.transfer.pipeline`):
 - ``load_chunks`` reassembles a chunk stream and deserializes it;
 - ``loads(..., copy=False)`` returns read-only arrays aliasing the input
   buffer: a zero-copy load for consumers that only read the weights.
+
+CRC-32 is linear, so a CRC computed over some bytes never has to be
+computed again over a whole that contains them: :func:`crc32_combine`
+joins two CRCs, which lets ``blob_crc`` (producer) and
+``loads(..., blob_crc=)`` (consumer) derive the whole-blob and the
+payload CRC from each other instead of re-reading every byte.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +48,7 @@ __all__ = [
     "Serializer",
     "ViperSerializer",
     "H5LikeSerializer",
+    "crc32_combine",
     "state_dict_nbytes",
 ]
 
@@ -60,6 +67,49 @@ def state_dict_nbytes(state: Dict[str, np.ndarray]) -> int:
     return sum(int(t.nbytes) for t in state.values())
 
 
+# CRC-32 arithmetic over GF(2) polynomials in zlib's reflected bit order
+# (zlib's ``multmodp`` / ``x2nmodp``): the stdlib ``zlib`` module does not
+# expose ``crc32_combine``.
+_CRC32_POLY = 0xEDB88320
+
+
+def _multmodp(a: int, b: int) -> int:
+    """``a(x) * b(x)`` modulo the CRC-32 polynomial; ``a`` must be nonzero."""
+    m = 1 << 31
+    p = 0
+    while True:
+        if a & m:
+            p ^= b
+            if (a & (m - 1)) == 0:
+                return p
+        m >>= 1
+        b = (b >> 1) ^ _CRC32_POLY if b & 1 else b >> 1
+
+
+#: ``x^(2^k)`` modulo the polynomial; the powers cycle with period 32.
+_X2N = [1 << 30]
+for _ in range(31):
+    _X2N.append(_multmodp(_X2N[-1], _X2N[-1]))
+
+
+def _x2nmodp(n: int, k: int) -> int:
+    """``x^(n * 2^k)`` modulo the CRC-32 polynomial."""
+    p = 1 << 31  # x^0
+    while n:
+        if n & 1:
+            p = _multmodp(_X2N[k & 31], p)
+        n >>= 1
+        k += 1
+    return p
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """``zlib.crc32(a + b)`` from ``crc1 = crc32(a)``, ``crc2 = crc32(b)``
+    and ``len2 = len(b)``, without reading a byte: O(log len2) polynomial
+    products, ~0.1 ms in pure Python for a 24 MB ``b``."""
+    return _multmodp(_x2nmodp(len2, 3), crc1) ^ (crc2 & 0xFFFFFFFF)
+
+
 class Serializer:
     """Contract: state dict <-> bytes, plus timing-model constants."""
 
@@ -74,8 +124,17 @@ class Serializer:
     def dumps(self, state: Dict[str, np.ndarray]) -> bytes:
         raise NotImplementedError
 
-    def loads(self, blob, *, copy: bool = True) -> Dict[str, np.ndarray]:
+    def loads(
+        self, blob, *, copy: bool = True, blob_crc: Optional[int] = None
+    ) -> Dict[str, np.ndarray]:
+        """Deserialize ``blob``.  ``blob_crc`` is ``zlib.crc32(blob)`` when
+        the caller has already verified it over these very bytes; a
+        checksumming format then derives its check from it."""
         raise NotImplementedError
+
+    def blob_crc(self, blob) -> int:
+        """``zlib.crc32(blob)`` of a blob this serializer just produced."""
+        return zlib.crc32(blob)
 
     # -- iovec surface (chunked pipeline) -------------------------------
     def dump_chunks(self, state: Dict[str, np.ndarray]) -> Iterator:
@@ -202,6 +261,9 @@ class ViperSerializer(Serializer):
     which reads but does not copy the buffer) and raises
     :class:`~repro.errors.IntegrityError` on mismatch, so corruption on
     the wire or in a tier is detected before any tensor is materialized.
+    Given a ``blob_crc`` the caller verified over the same bytes (the
+    delta path's reconstruction CRC), the payload CRC is derived from it
+    with :func:`crc32_combine` and still compared with the header.
     """
 
     name = "viper"
@@ -225,7 +287,28 @@ class ViperSerializer(Serializer):
         yield _VIPER_MAGIC + struct.pack("<II", _FORMAT_VERSION, crc)
         yield from pieces
 
-    def loads(self, blob, *, copy: bool = True):
+    def blob_crc(self, blob) -> int:
+        """The whole-blob CRC from the v2 header's payload CRC plus the 12
+        header bytes: no payload byte is read.
+
+        The header is taken at its word, so only the producer whose
+        :meth:`dump_chunks` just wrote it may ask; a receiver checks
+        instead (:meth:`loads`).  Anything but a v2 blob is CRC'd whole.
+        """
+        mv = memoryview(blob)
+        if (
+            len(mv) < _V2_PAYLOAD_OFFSET
+            or mv[:4] != _VIPER_MAGIC
+            or struct.unpack_from("<I", mv, 4)[0] != _FORMAT_VERSION
+        ):
+            return zlib.crc32(mv)
+        (payload_crc,) = struct.unpack_from("<I", mv, 8)
+        return crc32_combine(
+            zlib.crc32(mv[:_V2_PAYLOAD_OFFSET]), payload_crc,
+            len(mv) - _V2_PAYLOAD_OFFSET,
+        )
+
+    def loads(self, blob, *, copy: bool = True, blob_crc: Optional[int] = None):
         mv = memoryview(blob)
         if mv[:4] != _VIPER_MAGIC:
             raise StorageError("not a Viper checkpoint (bad magic)")
@@ -235,7 +318,15 @@ class ViperSerializer(Serializer):
         elif version == _FORMAT_VERSION:
             (expected,) = struct.unpack_from("<I", mv, 8)
             offset = _V2_PAYLOAD_OFFSET
-            actual = zlib.crc32(mv[offset:])
+            if blob_crc is None:
+                actual = zlib.crc32(mv[offset:])
+            else:
+                # CRC is linear: crc(header + payload) = shifted
+                # crc(header) ^ crc(payload), so the payload's CRC falls
+                # out of the verified whole-blob CRC and 12 header bytes.
+                actual = blob_crc ^ crc32_combine(
+                    zlib.crc32(mv[:offset]), 0, len(mv) - offset
+                )
             if actual != expected:
                 raise IntegrityError(
                     f"Viper checkpoint checksum mismatch: header says "
@@ -280,7 +371,7 @@ class H5LikeSerializer(Serializer):
         yield b"\x00" * (self._PER_DATASET_HEADER * len(state))
         yield from _tensor_pieces(state)
 
-    def loads(self, blob, *, copy: bool = True):
+    def loads(self, blob, *, copy: bool = True, blob_crc: Optional[int] = None):
         mv = memoryview(blob)
         if mv[:4] != _H5_MAGIC:
             raise StorageError("not an h5py-like checkpoint (bad magic)")

@@ -26,11 +26,15 @@ from repro.core.transfer.delta import (
     _reconstruct,
     frame_info,
 )
+from repro.core.transfer.pipeline import serialize_pipelined
+from repro.dnn import serialization as ser_mod
 from repro.dnn.serialization import ViperSerializer
 from repro.errors import DeltaBaseError, IntegrityError
 
 CHUNK = 256
 SER = ViperSerializer()
+#: VIPR | u32 version | u32 payload CRC: the bytes a derived CRC re-reads.
+V2_HEADER = 12
 
 
 def make_state(seed, n=6, size=300):
@@ -71,7 +75,8 @@ def ops(frame):
 
 @pytest.fixture
 def hashed(monkeypatch):
-    """Counts the chunks digested and the bytes CRC'd inside delta.py."""
+    """Counts the chunks digested inside delta.py and the bytes CRC'd
+    inside delta.py and dnn/serialization.py together."""
     seen = {"digests": 0, "crc_bytes": 0}
     real_digest = delta_mod._digest
 
@@ -87,6 +92,7 @@ def hashed(monkeypatch):
 
     monkeypatch.setattr(delta_mod, "_digest", digest)
     monkeypatch.setattr(delta_mod, "zlib", CountingZlib)
+    monkeypatch.setattr(ser_mod, "zlib", CountingZlib)
     return seen
 
 
@@ -121,21 +127,36 @@ class TestProducerCarry:
         # v1 shipped whole and unhashed; v2 built v1's index (every chunk)
         # and hashed its own changed pieces: t1's payload + the v2 header.
         assert hashed["digests"] == total + chunks_of(v2, "t1") + 1
+        # As the handler saves: the piece grid comes with the blob.
+        lengths = []
+        blob = serialize_pipelined(SER, v3, piece_lengths=lengths)
         hashed["digests"] = hashed["crc_bytes"] = 0
-        blob = SER.dumps(v3)
-        frame, stats = mgr.encode_for_save("m", 3, blob, state=v3)
+        frame, stats = mgr.encode_for_save(
+            "m", 3, blob, state=v3, piece_lengths=lengths
+        )
         assert frame is not None and stats.chunks_reused > 0
         # v2's digests were kept from its own encode: only v3's changes.
         assert hashed["digests"] == chunks_of(v3, "t4", "t5") + 1
-        assert hashed["crc_bytes"] == len(blob)  # the out-CRC, once
+        # The out-CRC is derived from the payload CRC dumps just wrote
+        # into the v2 header: only the header itself is read.
+        assert hashed["crc_bytes"] == V2_HEADER
+        assert frame_info(frame)["out_crc"] == zlib.crc32(blob)
 
     def test_full_change_early_out_hashes_nothing_until_diffed(self, hashed):
         mgr = manager()
         v1 = make_state(2)
         v2 = {k: v + 1.0 for k, v in v1.items()}
+        grids = {1: [], 2: []}
+        blobs = {
+            v: serialize_pipelined(SER, s, piece_lengths=grids[v])
+            for v, s in ((1, v1), (2, v2))
+        }
+        hashed["crc_bytes"] = 0
         for version, state in ((1, v1), (2, v2)):
-            blob = SER.dumps(state)
-            frame, _ = mgr.encode_for_save("m", version, blob, state=state)
+            blob = blobs[version]
+            frame, _ = mgr.encode_for_save(
+                "m", version, blob, state=state, piece_lengths=grids[version]
+            )
             assert frame is None
             mgr.register_loaded("m", version, blob)
         assert hashed == {"digests": 0, "crc_bytes": 0}
@@ -155,7 +176,8 @@ class TestProducerCarry:
         frame, stats = mgr.encode_for_save("m", 1, bytearray(b"x" * 10), state={})
         assert frame is None and stats.bytes_on_wire == 10
 
-    def test_pipelined_save_takes_one_dump_chunks_pass(self):
+    @pytest.mark.parametrize("pipelined", [True, False], ids=["on", "off"])
+    def test_pipelined_save_takes_one_dump_chunks_pass(self, pipelined):
         from repro.core.transfer.pipeline import PipelineConfig
 
         class Counting(ViperSerializer):
@@ -167,7 +189,7 @@ class TestProducerCarry:
 
         ser = Counting()
         kw = dict(mode=CaptureMode.SYNC, strategy=TransferStrategy.HOST_TO_HOST)
-        pipe = PipelineConfig(enabled=True, chunk_bytes=512, lanes=2)
+        pipe = PipelineConfig(enabled=pipelined, chunk_bytes=512, lanes=2)
         delta = DeltaConfig(enabled=True, chunk_bytes=CHUNK)
         with Viper(serializer=ser, pipeline=pipe, delta=delta) as viper:
             v1 = make_state(11)
@@ -215,6 +237,26 @@ class TestConsumerMemo:
         assert hashed["crc_bytes"] == len(blob3)
         assert literals2 > 0 and literals3 < frame_info(f3)["nops"]
 
+    def test_warm_decode_and_load_crc_every_byte_once(self, hashed):
+        mgr = manager()
+        v1 = make_state(12)
+        v2 = touch(v1, "t2")
+        v3 = touch(v2, "t3")
+        chain(mgr, v1, v2)
+        blob3 = SER.dumps(v3)
+        f3, _ = mgr.encode_for_save("m", 3, blob3, state=v3)
+        hashed["crc_bytes"] = 0
+        out = mgr.decode_for_load("m", f3)
+        state = SER.loads(out, blob_crc=mgr.decoded_crc("m", out))
+        # The out-CRC reads every reconstructed byte; the inner v2 check
+        # derives the payload CRC from it and re-reads only the header.
+        assert hashed["crc_bytes"] == len(blob3) + V2_HEADER
+        assert SER.dumps(state) == blob3
+        # Only the decode's own object carries the CRC.
+        assert mgr.decoded_crc("m", bytes(bytearray(out))) is None
+        mgr.register_loaded("m", 3, out)
+        assert mgr.decoded_crc("m", out) is None
+
     def test_cold_base_is_hashed_once_then_remembered(self, hashed):
         mgr = manager()
         v1 = make_state(5)
@@ -224,17 +266,18 @@ class TestConsumerMemo:
         held = mgr._held_blob["m"]
         assert held.crc is None and held.digests == {}
         v2 = touch(v1, "t0")
-        f2, _ = mgr.encode_for_save("m", 2, SER.dumps(v2), state=v2)
+        blob2 = SER.dumps(v2)
+        f2, _ = mgr.encode_for_save("m", 2, blob2, state=v2)
         reuse = sum(1 for tag, _, _ in ops(f2) if tag == _OP_REUSE)
         hashed["digests"] = hashed["crc_bytes"] = 0
         mgr.decode_for_load("m", f2)
         assert hashed["digests"] == frame_info(f2)["nops"]  # every op
-        assert hashed["crc_bytes"] == len(blob1) + len(SER.dumps(v2))
+        assert hashed["crc_bytes"] == len(blob1) + len(blob2)
         assert held.crc == zlib.crc32(blob1) and len(held.digests) == reuse
         hashed["digests"] = hashed["crc_bytes"] = 0
         mgr.decode_for_load("m", f2)  # e.g. a retried load
         assert hashed["digests"] == frame_info(f2)["nops"] - reuse
-        assert hashed["crc_bytes"] == len(SER.dumps(v2))
+        assert hashed["crc_bytes"] == len(blob2)
 
     def test_unlisted_range_is_hashed_not_trusted(self):
         base = bytes(range(256)) * 2

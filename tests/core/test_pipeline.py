@@ -1,6 +1,4 @@
-"""Chunked/pipelined transfer path: Chunker, BufferPool, PipelinedTransfer."""
-
-import time
+"""Chunked transfer path: PipelineConfig, Chunker, BufferPool, serialize_pipelined."""
 
 import numpy as np
 import pytest
@@ -11,8 +9,6 @@ from repro.core.transfer.pipeline import (
     BufferPool,
     Chunker,
     PipelineConfig,
-    PipelinedTransfer,
-    assemble_into,
     serialize_pipelined,
 )
 
@@ -141,91 +137,17 @@ class TestBufferPool:
             BufferPool(max_retain_bytes=0)
 
 
-class TestPipelinedTransfer:
-    def test_results_in_chunk_order(self):
-        pipe = PipelinedTransfer(
-            [("double", lambda x, i: x * 2), ("tag", lambda x, i: (i, x))],
-            lanes=3,
-        )
-        result = pipe.run([1, 2, 3, 4, 5])
-        assert result.nchunks == 5
-        assert result.results == ((0, 2), (1, 4), (2, 6), (3, 8), (4, 10))
-        assert set(result.stage_seconds) == {"double", "tag"}
-
-    def test_stages_overlap(self):
-        # Two stages, each sleeping per chunk: pipelined wall time must be
-        # well under the serial sum (2 stages x 6 chunks x 30 ms = 360 ms).
-        dt = 0.03
-        pipe = PipelinedTransfer(
-            [
-                ("a", lambda x, i: time.sleep(dt) or x),
-                ("b", lambda x, i: time.sleep(dt) or x),
-            ],
-            lanes=2,
-        )
-        result = pipe.run(range(6))
-        assert result.elapsed < 2 * 6 * dt * 0.8
-
-    def test_error_propagates(self):
-        def boom(x, i):
-            if i == 2:
-                raise ValueError("chunk 2 is cursed")
-            return x
-
-        pipe = PipelinedTransfer([("boom", boom)], lanes=2)
-        with pytest.raises(ValueError, match="cursed"):
-            pipe.run(range(5))
-
-    def test_empty_input(self):
-        pipe = PipelinedTransfer([("id", lambda x, i: x)])
-        assert pipe.run([]).results == ()
-
-    def test_invalid_construction(self):
-        with pytest.raises(ConfigurationError):
-            PipelinedTransfer([])
-        with pytest.raises(ConfigurationError):
-            PipelinedTransfer([("s", lambda x, i: x)], lanes=0)
-
-
-class TestAssembleInto:
-    def test_concatenates(self):
-        buf = bytearray(10)
-        out = assemble_into(buf, [b"ab", b"cde", b""])
-        assert bytes(out) == b"abcde"
-
-    def test_overflow_rejected(self):
-        with pytest.raises(TransferError):
-            assemble_into(bytearray(3), [b"abcd"])
-
-
 class TestSerializePipelined:
     def test_matches_dumps_exactly(self):
         ser = ViperSerializer()
         state = sample_state()
-        cfg = PipelineConfig(enabled=True, chunk_bytes=1024, lanes=2)
-        assert bytes(serialize_pipelined(ser, state, cfg)) == ser.dumps(state)
+        blob = serialize_pipelined(ser, state)
+        assert type(blob) is bytes and blob == ser.dumps(state)
 
-    def test_pool_buffer_recycled(self):
+    def test_fills_the_piece_grid(self):
         ser = ViperSerializer()
         state = sample_state()
-        cfg = PipelineConfig(enabled=True, chunk_bytes=512, lanes=2)
-        pool = BufferPool(max_buffers=2)
-        blob1 = serialize_pipelined(ser, state, cfg, pool=pool)
-        blob2 = serialize_pipelined(ser, state, cfg, pool=pool)
-        assert blob1 == blob2 == ser.dumps(state)
-        assert pool.outstanding == 0
-        assert pool.reuses >= 1
-
-    def test_pool_blob_larger_than_retain_cap(self):
-        # Regression: a blob bigger than max_retain_bytes used to crash
-        # at release time — the serialize path still held its memoryview
-        # when the pool tried to shrink the buffer.
-        ser = ViperSerializer()
-        state = sample_state()
-        cfg = PipelineConfig(enabled=True, chunk_bytes=512, lanes=2)
-        pool = BufferPool(max_buffers=2, max_retain_bytes=64)
-        blob = serialize_pipelined(ser, state, cfg, pool=pool)
-        assert blob == ser.dumps(state)
-        assert pool.outstanding == 0
-        assert pool.shrinks == 1
-        assert pool.retained_bytes <= 64
+        lengths = []
+        blob = serialize_pipelined(ser, state, piece_lengths=lengths)
+        assert lengths == [memoryview(p).nbytes for p in ser.dump_chunks(state)]
+        assert sum(lengths) == len(blob)

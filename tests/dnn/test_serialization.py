@@ -1,12 +1,15 @@
 """Checkpoint serializer tests."""
 
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import IntegrityError, StorageError
 from repro.dnn.serialization import (
     H5LikeSerializer,
     ViperSerializer,
+    crc32_combine,
     get_serializer,
     state_dict_nbytes,
 )
@@ -186,6 +189,34 @@ class TestEdgeShapes:
             assert back[key].shape == state[key].shape
 
 
+class TestDerivedCRC:
+    def test_blob_crc_equals_a_full_pass(self, serializer):
+        blob = serializer.dumps(sample_state())
+        assert serializer.blob_crc(blob) == zlib.crc32(blob)
+
+    def test_blob_crc_of_a_non_v2_blob_is_a_full_pass(self):
+        for blob in (b"", b"VIPR", b"\x89HDF" + bytes(20)):
+            assert ViperSerializer().blob_crc(blob) == zlib.crc32(blob)
+
+    def test_carried_crc_loads_like_a_full_pass(self, serializer):
+        state = sample_state()
+        blob = serializer.dumps(state)
+        back = serializer.loads(blob, blob_crc=zlib.crc32(blob))
+        for key in state:
+            np.testing.assert_array_equal(back[key], state[key])
+
+    def test_carried_crc_still_checks_the_header(self):
+        ser = ViperSerializer()
+        bad = bytearray(ser.dumps(sample_state()))
+        bad[8] ^= 0x01  # the header's payload CRC
+        with pytest.raises(IntegrityError):
+            ser.loads(bytes(bad), blob_crc=zlib.crc32(bad))
+        # A carried CRC that is not the blob's fails the check too.
+        good = ser.dumps(sample_state())
+        with pytest.raises(IntegrityError):
+            ser.loads(good, blob_crc=zlib.crc32(good) ^ 1)
+
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -193,6 +224,31 @@ try:
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - hypothesis is in the image
     HAVE_HYPOTHESIS = False
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+class TestCRC32Combine:
+    @given(a=st.binary(max_size=300), b=st.binary(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_crc_of_the_concatenation(self, a, b):
+        combined = crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b))
+        assert combined == zlib.crc32(a + b)
+
+    @given(
+        crc=st.integers(0, 2**32 - 1),
+        n1=st.integers(0, 2**40),
+        n2=st.integers(0, 2**40),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_shifts_compose_beyond_32_bit_lengths(self, crc, n1, n2):
+        # Shifting a CRC past n1 bytes and then past n2 bytes is one shift
+        # past n1 + n2: exercises the x^(2^k) table past its 32-entry cycle.
+        twice = crc32_combine(crc32_combine(crc, 0, n1), 0, n2)
+        assert twice == crc32_combine(crc, 0, n1 + n2)
+
+    def test_large_second_part(self):
+        a, b = b"VIPR\x02\x00\x00\x00", bytes(range(256)) * 4099
+        assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
 
 
 # The serializers are stateless, so hypothesis drives the classes directly

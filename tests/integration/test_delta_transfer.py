@@ -137,6 +137,58 @@ class TestDeltaEndToEnd:
             assert snap.swaps_rejected == 1
             assert consumer.current_version == 1
 
+    def test_wrong_inner_crc_under_a_valid_frame_is_rejected(self):
+        # The frame's out-CRC vouches for the reconstructed bytes as they
+        # are, so a blob whose own v2 header CRC is wrong reconstructs
+        # cleanly.  The inner check, derived from that carried out-CRC
+        # instead of re-reading the payload, must still refuse it.
+        import zlib
+
+        from repro.core.transfer.delta import ChunkIndex, encode_frame
+        from repro.dnn.layers import Dense
+        from repro.dnn.models import Sequential
+        from repro.errors import IntegrityError, RetriesExhausted
+
+        def builder():
+            return Sequential([Dense(64, name="d")], input_shape=(64,), seed=7)
+
+        kw = dict(mode=CaptureMode.SYNC, strategy=TransferStrategy.HOST_TO_HOST)
+        with Viper(delta=True) as viper:
+            consumer = viper.consumer(model_builder=builder)
+            v1 = builder().state_dict()
+            viper.save_weights("m", v1, **kw)
+            consumer.apply_update("m")
+            res = viper.save_weights("m", perturb(v1, ["d/b"]), **kw)
+            assert 0 < res.record.wire_bytes < res.record.nbytes
+            delta = viper.handler.delta
+            bad = bytearray(delta.full_blob("m", 2))
+            bad[8] ^= 0x01  # the v2 header's payload CRC
+            bad = bytes(bad)
+            chunk = delta.config.chunk_bytes
+            # A bare encode hashes what it is given: a valid out-CRC.
+            frame, _ = encode_frame(
+                ChunkIndex(delta.full_blob("m", 1), chunk), [bad], chunk
+            )
+            viper.consumer_node.dram.put(res.record.path, frame)
+            ser = viper.handler.serializer
+            carried = []
+            real_loads = ser.loads
+
+            def loads(blob, **kwargs):
+                carried.append(kwargs.get("blob_crc"))
+                return real_loads(blob, **kwargs)
+
+            ser.loads = loads
+            with pytest.raises(RetriesExhausted) as info:
+                consumer.apply_update("m")
+            cause = info.value.__cause__
+            assert isinstance(cause, IntegrityError)
+            assert "checksum mismatch" in str(cause)
+            assert carried and set(carried) == {zlib.crc32(bad)}
+            snap = viper.handler.stats.snapshot()
+            assert snap.swaps_rejected == 1
+            assert consumer.current_version == 1
+
     def test_delta_off_keeps_monolithic_accounting(self):
         with Viper() as viper:
             viper.save_weights(
