@@ -18,8 +18,10 @@ regression shows up in the JSON history: ``encode_mbps`` /
 which know nothing about their inputs and hash every byte;
 ``manager_encode_mbps`` / ``manager_decode_mbps`` time the third update
 of a chain through ``DeltaManager`` — the path ``Viper.save_weights`` /
-``load_weights`` take — where digests and CRCs computed or verified for
-the previous version are carried instead of recomputed.
+``load_weights`` take — where the producer serializes the live state
+itself (``encode_for_save(state)``: only the changed tensors are copied,
+CRC'd and hashed) and digests and CRCs computed or verified for the
+previous version are carried instead of recomputed.
 
 Outputs ``benchmarks/results/BENCH_delta.json``.  ``VIPER_PERF_QUICK=1``
 shrinks the real payload for the CI smoke job.
@@ -124,13 +126,15 @@ def measure_manager(fraction: float):
     state = build_state()
     encode_s, decode_s = [], []
     for version in (1, 2, 3, 4, 5):
-        blob = ser.dumps(state)
         t0 = time.perf_counter()
-        frame, _ = manager.encode_for_save("bench", version, blob, state=state)
+        frame, _, saved = manager.encode_for_save("bench", version, state)
         t1 = time.perf_counter()
-        loaded = blob if frame is None else manager.decode_for_load("bench", frame)
+        loaded = (
+            saved.blob() if frame is None
+            else manager.decode_for_load("bench", frame)
+        )
         t2 = time.perf_counter()
-        assert loaded == blob
+        assert loaded == ser.dumps(state)
         manager.register_loaded("bench", version, loaded)
         if version >= 3:
             encode_s.append(t1 - t0)

@@ -408,6 +408,20 @@ class ViperConsumer:
             sp.set(version=result.version, location=result.location)
             return result
 
+    def _place(self, model, result: LoadResult) -> None:
+        """Load a verified state into a (non-serving) model replica.
+
+        With the pipeline knob the state is read-only views over the
+        verified blob, and the replica adopts them as they are
+        (``copy=False``): no byte is copied between the verified blob and
+        the served model.  The default path copies into the replica's own
+        writable arrays.
+        """
+        if self.viper.handler.pipeline.enabled:
+            model.load_state_dict(result.state, copy=False)
+        else:
+            model.load_state_dict(result.state)
+
     def apply_update(self, model_name: str, version: Optional[int] = None) -> LoadResult:
         """Load a checkpoint and atomically swap it into serving."""
 
@@ -420,7 +434,7 @@ class ViperConsumer:
                 )
             # Stage into the spare replica, then swap; the displaced
             # primary becomes the next spare (classic double buffering).
-            self._spare.load_state_dict(result.state)
+            self._place(self._spare, result)
             displaced = self._buffer.acquire().model
             self._buffer.update(self._spare, result.version)
             self._spare = displaced
@@ -449,7 +463,7 @@ class ViperConsumer:
         def stage(result: LoadResult) -> str:
             if self._canary_model is None:
                 self._canary_model = self._builder()
-            self._canary_model.load_state_dict(result.state)
+            self._place(self._canary_model, result)
             self._buffer.stage_canary(self._canary_model, result.version)
             return "canary"
 

@@ -17,11 +17,12 @@ application still saves and loads whole state dicts.
    length) map over the base blob (:class:`ChunkIndex`).
 3. **Negotiation** — the producer-side :class:`DeltaManager` knows which
    version each consumer last loaded (registered on every successful
-   load) and diffs the new blob against that base.  An exact per-piece
-   byte compare with the retained base blob runs first: a
-   near-fully-changed blob short-circuits straight to the monolithic
-   path before any digest is computed, and otherwise unchanged pieces
-   take over the base's digests so only changed pieces are hashed.
+   load) and diffs the new save against that base, piece by piece: each
+   live serializer piece is compared exactly with the base's retained
+   piece.  A near-fully-changed save short-circuits straight to the
+   monolithic path before any digest is computed; otherwise an unchanged
+   piece is the base's own (bytes, CRC and chunk digests) and only a
+   changed piece is copied, CRC'd and hashed.
 4. **Recipe** — the producer ships a *delta frame* (wire format v3): an
    ordered list of ``reuse(offset, length, digest)`` /
    ``literal(bytes)`` ops plus the reconstruction target's length and
@@ -38,18 +39,19 @@ application still saves and loads whole state dicts.
    mismatched base raises :class:`DeltaBaseError` so the handler can
    fall back to the monolithic blob instead of erroring the update wave.
 
-Every byte is hashed once per side: digests and CRCs that one step
-computed or verified travel with the blob as data (``ChunkIndex`` on the
-producer, the held base's CRC and ``(offset, length) -> digest`` table
-on the consumer) instead of being recomputed by the next step.  The two
-CRC-32s over one blob — the v2 header's over its payload and the
-frame's over the whole — are derived from each other with
-:func:`~repro.dnn.serialization.crc32_combine`: the producer's out-CRC
-from the header ``dump_chunks`` just wrote (``Serializer.blob_crc``),
-the consumer's inner check from the verified out-CRC
-(:meth:`DeltaManager.decoded_crc` -> ``loads(..., blob_crc=)``).  A bare
-:func:`encode_frame` / :func:`decode_frame` call carries nothing and
-hashes everything; ``docs/architecture.md`` tabulates who hashes what.
+Work follows what changed, and every byte is hashed once per side:
+digests and CRCs that one step computed or verified travel with the
+bytes as data (the retained pieces and ``ChunkIndex`` on the producer,
+the held base's CRC and ``(offset, length) -> digest`` table on the
+consumer) instead of being recomputed by the next step.  CRC-32 is
+linear, so the producer folds the v2 header's payload CRC and the
+frame's out-CRC from per-piece CRCs with
+:func:`~repro.dnn.serialization.crc32_combine`, and the monolithic blob
+is joined only when it ships whole; the consumer derives its inner v2
+check from the verified out-CRC (:meth:`DeltaManager.decoded_crc` ->
+``loads(..., blob_crc=)``).  A bare :func:`encode_frame` /
+:func:`decode_frame` call carries nothing and hashes everything;
+``docs/architecture.md`` tabulates who hashes and who copies what.
 
 Fallback rules (all decided per save/load, never per deployment):
 
@@ -68,11 +70,11 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import DeltaBaseError, IntegrityError, StorageError
 from repro.core.transfer.pipeline import Chunker
+from repro.dnn.serialization import ViperSerializer, crc32_combine
 from repro.substrates.cost import KB
 
 __all__ = [
@@ -198,28 +200,36 @@ def _digest(chunk) -> bytes:
 class ChunkIndex:
     """digest -> (offset, length) map over one base blob.
 
-    ``digests`` (one slot per :func:`chunk_bounds` entry, in grid order)
-    and ``crc`` carry what an earlier step already computed over these
-    bytes; only the ``None`` slots are hashed here.
+    Built bare (``ChunkIndex(blob, chunk_bytes, piece_lengths)``) it hashes
+    every chunk and CRCs the blob; :meth:`of_digests` builds one from what
+    an earlier step already computed, without the blob.
     """
 
     def __init__(self, blob: bytes, chunk_bytes: int,
-                 piece_lengths: Optional[Iterable[int]] = None, *,
-                 digests: Optional[Sequence[Optional[bytes]]] = None,
-                 crc: Optional[int] = None):
-        self.blob = bytes(blob)  # no copy when already immutable
-        self.chunk_bytes = chunk_bytes
-        self.crc = zlib.crc32(self.blob) if crc is None else crc
-        lengths = [len(self.blob)] if piece_lengths is None else list(piece_lengths)
+                 piece_lengths: Optional[Iterable[int]] = None):
+        mv = memoryview(blob)
+        lengths = [len(mv)] if piece_lengths is None else list(piece_lengths)
         bounds = chunk_bounds(lengths, chunk_bytes)
-        mv = memoryview(self.blob)
-        carried = digests if digests is not None else [None] * len(bounds)
-        self.digests: List[bytes] = [
-            d if d is not None else _digest(mv[offset : offset + length])
-            for d, (offset, length) in zip(carried, bounds)
-        ]
+        self._fill(
+            zlib.crc32(mv), bounds,
+            [_digest(mv[offset : offset + length]) for offset, length in bounds],
+        )
+
+    @classmethod
+    def of_digests(cls, crc: int, bounds: Sequence[Tuple[int, int]],
+                   digests: Sequence[bytes]) -> "ChunkIndex":
+        """The index of a blob with CRC-32 ``crc`` whose :func:`chunk_bounds`
+        grid ``bounds`` hashes to ``digests``, in grid order."""
+        index = cls.__new__(cls)
+        index._fill(crc, bounds, digests)
+        return index
+
+    def _fill(self, crc: int, bounds: Sequence[Tuple[int, int]],
+              digests: Sequence[bytes]) -> None:
+        self.crc = crc
+        self.nbytes = sum(length for _, length in bounds)
         self._by_digest: Dict[bytes, Tuple[int, int]] = {}
-        for d, bound in zip(self.digests, bounds):
+        for d, bound in zip(digests, bounds):
             # First occurrence wins; duplicate chunks (zero pages) all
             # resolve to one base location, which is exactly dedup.
             self._by_digest.setdefault(d, bound)
@@ -271,7 +281,7 @@ def encode_frame(
             n = len(chunk)
             parts += (_LITERAL.pack(_OP_LITERAL, 0, n, n, d), chunk)
     parts[0] = _HEADER.pack(
-        DELTA_MAGIC, _FRAME_VERSION, len(base.blob), base.crc,
+        DELTA_MAGIC, _FRAME_VERSION, base.nbytes, base.crc,
         out_len, out_crc, len(chunks),
     )
     frame = b"".join(parts)
@@ -466,32 +476,78 @@ def _reconstruct(frame, base: Optional[_HeldBase]) -> _HeldBase:
     return _HeldBase(out, actual, digests)
 
 
-@dataclass
-class _ProducerEntry:
-    """Producer-retained encode state for one version."""
+class _Piece:
+    """One serializer piece a producer entry retains: ``length`` immutable
+    bytes at ``offset`` of ``buf`` (the piece's own copy, or the joined
+    blob of a version that shipped whole), their CRC-32 and, once hashed,
+    the digests of the piece's chunks.  Entries share the object for a
+    piece that did not change, so a digest computed once serves all."""
 
-    blob: bytes
-    piece_lengths: List[int]
-    #: None until an encode hashes this version or a later save diffs against it.
-    index: Optional[ChunkIndex] = None
+    __slots__ = ("buf", "offset", "length", "crc", "digests")
+
+    def __init__(self, buf: bytes, offset: int, length: int, crc: int):
+        self.buf = buf
+        self.offset = offset
+        self.length = length
+        self.crc = crc
+        self.digests: Optional[List[bytes]] = None
+
+    def view(self) -> memoryview:
+        return memoryview(self.buf)[self.offset : self.offset + self.length]
+
+    def equals(self, live) -> bool:
+        """Exact compare with a live piece: ``memcmp``, nothing hashed."""
+        return len(live) == self.length and self.buf.startswith(live, self.offset)
+
+    def hashed(self, chunk_bytes: int) -> List[bytes]:
+        if self.digests is None:
+            view = self.view()
+            self.digests = [
+                _digest(view[start : start + chunk_bytes])
+                for start in range(0, self.length, chunk_bytes)
+            ]
+        return self.digests
+
+
+class _ProducerEntry:
+    """Producer-retained state of one saved version: its pieces (the v2
+    header first), the whole-blob CRC-32, and the blob itself, which is
+    joined only when something has to ship or store it whole."""
+
+    def __init__(self, pieces: List[_Piece], crc: int, blob: Optional[bytes] = None):
+        self.pieces = pieces
+        self.crc = crc
+        self._blob = blob
+        #: Built the first time a later save diffs against this version.
+        self.index: Optional[ChunkIndex] = None
+
+    @property
+    def piece_lengths(self) -> List[int]:
+        return [p.length for p in self.pieces]
+
+    def blob(self) -> bytes:
+        """The monolithic blob, joined on first use and kept."""
+        if self._blob is None:
+            self._blob = b"".join([p.view() for p in self.pieces])
+        return self._blob
 
 
 class DeltaManager:
     """Negotiation state for the delta wire path (both ends).
 
-    Producer side: retains the last :data:`CACHE_VERSIONS` monolithic blobs
-    (plus chunk indexes) per model, knows which version the consumer
-    holds, and decides delta vs monolithic per save.  Consumer side:
-    retains the reconstructed blob of the last successful load per
-    model, which is the base the next frame reuses against.  In this
-    reproduction both ends live in one process, but the two maps are
+    Producer side: retains the last :data:`CACHE_VERSIONS` saved versions
+    (as serializer pieces, plus chunk indexes) per model, knows which
+    version the consumer holds, and decides delta vs monolithic per save.
+    Consumer side: retains the reconstructed blob of the last successful
+    load per model, which is the base the next frame reuses against.  In
+    this reproduction both ends live in one process, but the two maps are
     kept strictly separate so losing one side (a restarted consumer)
     exercises the real fallback.
     """
 
     def __init__(self, config: Optional[DeltaConfig] = None, *, serializer=None):
         self.config = config if config is not None else DeltaConfig()
-        self.serializer = serializer
+        self.serializer = serializer if serializer is not None else ViperSerializer()
         self._lock = threading.Lock()
         # producer: model -> {version: _ProducerEntry}, insertion-ordered
         self._produced: Dict[str, Dict[int, _ProducerEntry]] = {}
@@ -516,73 +572,59 @@ class DeltaManager:
             while len(cache) > CACHE_VERSIONS:
                 cache.pop(next(iter(cache)))
 
-    def _entry(self, blob, state, piece_lengths) -> _ProducerEntry:
-        """``blob`` as one immutable copy (none for ``bytes``) on its piece
-        grid: the caller's, else the serializer's when possible, else the
-        whole blob as one piece (still correct, coarser boundaries)."""
-        blob = bytes(blob)
-        if piece_lengths:
-            return _ProducerEntry(blob, list(piece_lengths))
-        if self.serializer is None or state is None:
-            return _ProducerEntry(blob, [len(blob)])
-        pieces = self.serializer.dump_chunks(state)
-        return _ProducerEntry(blob, [memoryview(p).nbytes for p in pieces])
-
-    def _index(self, entry: _ProducerEntry, digests=None) -> ChunkIndex:
+    def _index(self, entry: _ProducerEntry) -> ChunkIndex:
         if entry.index is None:
-            entry.index = ChunkIndex(
-                entry.blob, self.config.chunk_bytes, entry.piece_lengths,
-                digests=digests,
-                # The serializer derives it from the header it wrote.
-                crc=(
-                    self.serializer.blob_crc(entry.blob)
-                    if self.serializer is not None
-                    else None
-                ),
+            chunk_bytes = self.config.chunk_bytes
+            entry.index = ChunkIndex.of_digests(
+                entry.crc,
+                chunk_bounds(entry.piece_lengths, chunk_bytes),
+                [d for p in entry.pieces for d in p.hashed(chunk_bytes)],
             )
         return entry.index
 
-    def remember_saved(
-        self, model_name: str, version: int, blob: bytes, state=None,
-        piece_lengths: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Retain a monolithic save for future diffs and fallbacks.
+    def _whole(self, header: bytes, live: Sequence, crcs: Sequence[int],
+               crc: int) -> _ProducerEntry:
+        """An entry that ships whole: the header and the live pieces joined
+        once (the only copy), its pieces slices of that blob."""
+        blob = b"".join([header, *live])
+        pieces, offset = [], 0
+        for n, piece_crc in zip([len(header), *map(len, live)], crcs):
+            pieces.append(_Piece(blob, offset, n, piece_crc))
+            offset += n
+        return _ProducerEntry(pieces, crc, blob)
+
+    def remember_saved(self, model_name: str, version: int, state) -> _ProducerEntry:
+        """Serialize ``state`` whole and retain it for future diffs and
+        fallbacks; returns the entry (``entry.blob()`` is the blob).
 
         Used when the wire decision was made elsewhere (e.g. a direct
         PFS save, which always ships monolithic): the version still
         enters the producer cache so later volatile-tier saves can diff
         against it and baseless consumers can re-fetch it.
         """
-        if self.config.enabled:
-            entry = self._entry(blob, state, piece_lengths)
-            self._remember(model_name, version, entry)
+        _frame, _stats, entry = self._encode(state, None)
+        self._remember(model_name, version, entry)
+        return entry
 
     def encode_for_save(
-        self,
-        model_name: str,
-        version: int,
-        blob: bytes,
-        state=None,
-        piece_lengths: Optional[Sequence[int]] = None,
-    ) -> Tuple[Optional[bytes], DeltaStats]:
-        """Decide and encode the wire form for one save.
+        self, model_name: str, version: int, state
+    ) -> Tuple[Optional[bytes], DeltaStats, _ProducerEntry]:
+        """Serialize ``state`` and decide and encode its wire form.
 
-        Returns ``(frame, stats)``; ``frame=None`` means ship the
-        monolithic ``blob`` (stats then records the monolithic bytes).
-        Always retains ``blob`` for future diffs and for the consumer's
-        missing-base fallback, even when the decision is monolithic.
-        ``piece_lengths`` (when non-empty) is the serializer's piece grid,
-        from the ``dump_chunks`` pass that produced ``blob``.  ``blob`` is
-        that serializer's own output: its CRC comes from
-        ``serializer.blob_crc``, which takes the header at its word (a
-        header that lied would fail the consumer's out-CRC check).
+        Returns ``(frame, stats, entry)``; ``frame=None`` means ship the
+        monolithic ``entry.blob()`` (stats then records the monolithic
+        bytes).  The entry is retained for future diffs and for the
+        consumer's missing-base fallback, even when the decision is
+        monolithic.  Work follows what changed: each live serializer piece
+        is compared (exactly) with the held base's; an unchanged piece
+        carries its bytes, CRC and chunk digests over from the base, a
+        changed one is copied once, CRC'd and hashed, and the v2 header's
+        payload CRC is folded from the per-piece CRCs.  The blob is joined
+        only when it ships whole.  A disabled manager serializes ``state``
+        whole and retains nothing.
         """
-        mono = DeltaStats(
-            mode="monolithic", bytes_total=len(blob), bytes_on_wire=len(blob)
-        )
         if not self.config.enabled:
-            return None, mono
-        entry = self._entry(blob, state, piece_lengths)
+            return self._encode(state, None)
         with self._lock:
             held = self._held_version.get(model_name)
             base = (
@@ -590,44 +632,69 @@ class DeltaManager:
                 if held is not None
                 else None
             )
+        frame, stats, entry = self._encode(state, base)
         self._remember(model_name, version, entry)
-        if base is None:
-            # No base: a frame could only add overhead.
-            return None, mono
-        chunk_bytes = self.config.chunk_bytes
-        blob = entry.blob
-        ends = list(accumulate(entry.piece_lengths))
-        spans = list(zip([0] + ends, ends))  # (start, end) of every piece
-        carried = None
-        if base.piece_lengths == entry.piece_lengths:
-            # Same grid: an exact compare with the retained base blob says
-            # which pieces changed, without hashing or parsing anything.
-            old = memoryview(base.blob)
-            same = [blob.startswith(old[a:b], a) for a, b in spans]
-            changed = sum(b - a for (a, b), keep in zip(spans, same) if not keep)
-            if changed >= FULL_CHANGE_THRESHOLD * len(blob):
-                # (Almost) everything changed: the recipe cannot win, so
-                # nothing is hashed.
-                return None, mono
-            # Unchanged pieces take the base's digests for their chunk
-            # range; only changed pieces are hashed.
-            known = iter(self._index(base).digests)
-            carried = []
-            for (a, b), keep in zip(spans, same):
-                of_piece = list(islice(known, -(-(b - a) // chunk_bytes)))
-                carried += of_piece if keep else [None] * len(of_piece)
-        index = self._index(entry, carried)
-        mv = memoryview(blob)
-        frame, stats = encode_frame(
-            self._index(base), [mv[a:b] for a, b in spans], chunk_bytes,
-            digests=index.digests, out_crc=index.crc,
+        return frame, stats, entry
+
+    def _encode(
+        self, state, base: Optional[_ProducerEntry]
+    ) -> Tuple[Optional[bytes], DeltaStats, _ProducerEntry]:
+        ser = self.serializer
+        live = ser.payload_pieces(state)
+        # Same grid: the live pieces line up with the base's payload pieces
+        # (the header is always piece 0), so each can be compared exactly.
+        same = (
+            base is not None
+            and [len(p) for p in live] == base.piece_lengths[1:]
         )
-        if len(frame) >= len(blob):
+        kept: List[Optional[_Piece]] = (
+            [old if old.equals(p) else None for old, p in zip(base.pieces[1:], live)]
+            if same
+            else [None] * len(live)
+        )
+        crcs = [
+            old.crc if old is not None else zlib.crc32(p)
+            for old, p in zip(kept, live)
+        ]
+        payload_crc, payload_len = 0, 0
+        for p, piece_crc in zip(live, crcs):
+            payload_crc = crc32_combine(payload_crc, piece_crc, len(p))
+            payload_len += len(p)
+        header = ser.header_for(payload_crc)
+        header_crc = zlib.crc32(header)
+        crc = crc32_combine(header_crc, payload_crc, payload_len)
+        nbytes = len(header) + payload_len
+        mono = DeltaStats(mode="monolithic", bytes_total=nbytes, bytes_on_wire=nbytes)
+        changed = sum(len(p) for old, p in zip(kept, live) if old is None)
+        if same and base.pieces[0].equals(header):
+            head = base.pieces[0]
+        else:
+            head = _Piece(header, 0, len(header), header_crc)
+            changed += len(header)
+        if base is None or (same and changed >= FULL_CHANGE_THRESHOLD * nbytes):
+            # No base, or (almost) everything changed so the recipe cannot
+            # win: ship whole, and hash nothing.
+            return None, mono, self._whole(header, live, [header_crc, *crcs], crc)
+        # Changed pieces are copied once; unchanged ones are the base's.
+        entry = _ProducerEntry(
+            [head] + [
+                old if old is not None else _Piece(bytes(p), 0, len(p), piece_crc)
+                for old, p, piece_crc in zip(kept, live, crcs)
+            ],
+            crc,
+        )
+        chunk_bytes = self.config.chunk_bytes
+        frame, stats = encode_frame(
+            self._index(base), [p.view() for p in entry.pieces], chunk_bytes,
+            digests=[d for p in entry.pieces for d in p.hashed(chunk_bytes)],
+            out_crc=crc,
+        )
+        if len(frame) >= nbytes:
             # The delta would be larger (a fully-changed payload on a
             # shifted grid): monolithic fallback, by construction never
             # worse.
-            return None, mono
-        return frame, stats
+            return None, mono, entry
+        return frame, stats, entry
 
     # ------------------------------------------------------------------
     # Consumer side
@@ -679,7 +746,8 @@ class DeltaManager:
                     table.pop(model_name, None)
 
     def full_blob(self, model_name: str, version: int) -> Optional[bytes]:
-        """The producer-retained monolithic blob (fallback source)."""
+        """The producer-retained monolithic blob (fallback source), joined
+        from the retained pieces on first use."""
         with self._lock:
             entry = self._produced.get(model_name, {}).get(version)
-            return entry.blob if entry is not None else None
+        return entry.blob() if entry is not None else None

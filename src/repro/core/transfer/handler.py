@@ -364,38 +364,23 @@ class ModelWeightsHandler:
                 # Re-parent under the save span so the distributed trace
                 # hangs off the producing operation.
                 ctx = ctx.child(sp.span_id)
-            with self.tracer.span(
-                "handler.serialize",
-                track="producer",
-                pipelined=self.pipeline.enabled,
-            ):
-                # One dump_chunks pass and one join, in every configuration:
-                # the immutable blob that the producer cache, the stores and
-                # the flusher share, and the piece grid the delta chunk grid
-                # follows, so no second (checksumming) pass is needed.
-                lengths: List[int] = []
-                blob = serialize_pipelined(
-                    self.serializer, state, piece_lengths=lengths
-                )
             # Delta encode before the timing law: the law's wire terms
             # scale to what actually moves.  Digest CPU is a real
             # (wall-clock) producer cost; the simulated law scales bytes.
             frame: Optional[bytes] = None
             dstats: Optional[DeltaStats] = None
-            if self.delta.enabled and chosen is TransferStrategy.PFS:
-                # The durable root always ships the self-contained blob;
-                # retain it so later volatile-tier saves can diff it.
-                self.delta.remember_saved(
-                    model_name, ver, blob, state=state, piece_lengths=lengths
-                )
-            elif self.delta.enabled:
+            if self.delta.enabled and chosen is not TransferStrategy.PFS:
                 had_base = self.delta.held_version(model_name) is not None
                 with self.tracer.span(
                     "handler.delta_encode", track="producer", version=ver
                 ) as dsp:
-                    frame, dstats = self.delta.encode_for_save(
-                        model_name, ver, blob, state=state, piece_lengths=lengths
+                    # The manager serializes: it copies, CRCs and hashes
+                    # only the pieces that changed, and joins the blob only
+                    # when it ships whole (``blob_of``, on first use).
+                    frame, dstats, saved = self.delta.encode_for_save(
+                        model_name, ver, state
                     )
+                    blob_of = saved.blob
                     if frame is None and had_base:
                         # A base was negotiated but the recipe lost
                         # (a fully-changed payload).
@@ -405,13 +390,31 @@ class ModelWeightsHandler:
                         wire_bytes=dstats.bytes_on_wire,
                         dedup_ratio=round(dstats.dedup_hit_ratio, 4),
                     )
+            else:
+                with self.tracer.span(
+                    "handler.serialize",
+                    track="producer",
+                    pipelined=self.pipeline.enabled,
+                ):
+                    if self.delta.enabled:
+                        # The durable root always ships the self-contained
+                        # blob; retain it so later volatile-tier saves can
+                        # diff it.
+                        blob_of = self.delta.remember_saved(model_name, ver, state).blob
+                    else:
+                        # One dump_chunks pass and one join: the immutable
+                        # blob the stores and the flusher share.
+                        blob = serialize_pipelined(self.serializer, state)
+
+                        def blob_of() -> bytes:
+                            return blob
             wire_scale = dstats.wire_fraction if dstats is not None else 1.0
             timings = compute_timings(
                 self.profile, self.serializer, chosen, mode, vbytes, vtensors,
                 pipeline=self.pipeline, wire_scale=wire_scale,
             )
             result = self._stage_and_publish(
-                model_name, blob, chosen, mode, timings, ver, vbytes,
+                model_name, blob_of, chosen, mode, timings, ver, vbytes,
                 vtensors, train_iteration, train_loss, ctx=ctx,
                 frame=frame, dstats=dstats,
             )
@@ -427,7 +430,7 @@ class ModelWeightsHandler:
     def _stage_and_publish(
         self,
         model_name: str,
-        blob: bytes,
+        blob_of: Callable[[], bytes],
         chosen: TransferStrategy,
         mode: CaptureMode,
         timings: StrategyTimings,
@@ -484,7 +487,7 @@ class ModelWeightsHandler:
             ships_frame = frame is not None and strategy is not TransferStrategy.PFS
             return self._tier(strategy).store.put(
                 key,
-                frame if ships_frame else blob,
+                frame if ships_frame else blob_of(),
                 virtual_bytes=self.serializer.wire_bytes(
                     wire_virtual if ships_frame else vbytes
                 ),
@@ -588,7 +591,7 @@ class ModelWeightsHandler:
                 if self.flush_history and final is not TransferStrategy.PFS:
                     self.flusher.submit(
                         FlushJob(
-                            key=key, blob=blob, record=rec, trace_ctx=header
+                            key=key, blob=blob_of(), record=rec, trace_ctx=header
                         )
                     )
                 if backoff:

@@ -9,15 +9,18 @@ The building blocks of the chunked path, and its knob:
 - :class:`BufferPool` — reusable pre-allocated ``bytearray`` buffers for
   the receive/reassembly side (``Endpoint.recv_scatter``), so
   steady-state transfers allocate nothing;
-- :func:`serialize_pipelined` — the save path's one serialize: one
-  ``dump_chunks`` pass and one join, whatever the knob says;
+- :func:`serialize_pipelined` — the monolithic save path's one
+  serialize: one ``dump_chunks`` pass and one join, whatever the knob
+  says;
 - :class:`PipelineConfig` — the single knob object threaded through
   ``Viper(pipeline=...)``, the strategies, and the
   :class:`~repro.core.transfer.handler.ModelWeightsHandler`.
 
-On the wall clock the knob turns on the zero-copy load
-(``Serializer.loads(..., copy=False)``: the consumer reads the weights in
-place).  Its stage overlap lives in the *simulated* law:
+On the wall clock the knob turns on the zero-copy load: no copy from the
+verified blob to the served model (``Serializer.loads(..., copy=False)``
+returns read-only views over the blob, and ``ViperConsumer`` rebinds the
+model's parameters to them with ``load_state_dict(state, copy=False)``).
+Its stage overlap lives in the *simulated* law:
 :meth:`repro.substrates.network.links.LinkSpec.pipelined_transfer_time`
 and :func:`repro.core.transfer.strategies.compute_timings` (``pipeline=``
 argument).  No wall-clock executor overlaps the serialize copy: in one
@@ -230,21 +233,15 @@ class BufferPool:
             return sum(len(b) for b in self._free)
 
 
-def serialize_pipelined(
-    serializer, state, *, piece_lengths: Optional[List[int]] = None
-) -> bytes:
-    """The save path's one serialize: a ``dump_chunks`` pass plus one join.
+def serialize_pipelined(serializer, state) -> bytes:
+    """The monolithic save path's one serialize: a ``dump_chunks`` pass
+    plus one join.
 
     The iovec pieces are views over the live tensors, so the join is the
     only full-payload copy and its result is the one immutable blob the
-    producer cache, the tier stores and the flusher share.  Output is
-    byte-identical to ``serializer.dumps(state)``.  A list passed as
-    ``piece_lengths`` receives the byte length of every serializer piece,
-    so a caller that chunks the blob on piece boundaries (the delta path)
-    need not take the ``dump_chunks`` pass — it checksums every byte — a
-    second time.
+    tier stores and the flusher share.  Output is byte-identical to
+    ``serializer.dumps(state)``.  With delta on, the
+    :class:`~repro.core.transfer.delta.DeltaManager` serializes instead,
+    piece by piece against the consumer's base.
     """
-    pieces = list(serializer.dump_chunks(state))
-    if piece_lengths is not None:
-        piece_lengths.extend(memoryview(p).nbytes for p in pieces)
-    return b"".join(pieces)
+    return b"".join(serializer.dump_chunks(state))

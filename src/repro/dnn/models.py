@@ -80,8 +80,17 @@ class Sequential:
                 out[f"{layer.name}/{pname}"] = value.copy()
         return out
 
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters in place; shapes must match exactly."""
+    def load_state_dict(
+        self, state: Dict[str, np.ndarray], *, copy: bool = True
+    ) -> None:
+        """Load parameters; shapes must match exactly.
+
+        ``copy=True`` writes the values into the model's own arrays.
+        ``copy=False`` rebinds each parameter to the given array instead
+        (same dtype), so a consumer serving read-only views over a verified
+        checkpoint blob copies nothing; the model then shares, and cannot
+        write, those arrays.
+        """
         own = {
             f"{layer.name}/{p}": (layer, p)
             for layer in self.layers
@@ -96,12 +105,17 @@ class Sequential:
             )
         for key, value in state.items():
             layer, pname = own[key]
-            if layer.params[pname].shape != value.shape:
+            current = layer.params[pname]
+            if current.shape != value.shape:
                 raise ConfigurationError(
-                    f"shape mismatch for {key}: "
-                    f"{layer.params[pname].shape} vs {value.shape}"
+                    f"shape mismatch for {key}: {current.shape} vs {value.shape}"
                 )
-            layer.params[pname][...] = value
+            if not copy and value.dtype == current.dtype:
+                layer.params[pname] = value
+            elif current.flags.writeable:
+                current[...] = value
+            else:  # rebound to a read-only array by an earlier load
+                layer.params[pname] = value.astype(current.dtype)
 
     def freeze(self, prefix: str = "") -> int:
         """Mark layers whose name starts with ``prefix`` as non-trainable

@@ -1,10 +1,13 @@
 """Viper facade and role-view tests."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from repro import CaptureMode, Viper
+from repro import CaptureMode, TransferStrategy, Viper
 from repro.core.transfer.delta import DeltaConfig
+from repro.core.transfer.pipeline import PipelineConfig
 from repro.errors import ServingError
 from repro.dnn.layers import Dense
 from repro.dnn.models import Sequential
@@ -140,6 +143,75 @@ class TestConsumer:
             viper.save_weights("m", tiny_state(), mode=CaptureMode.SYNC)
             consumer.apply_update("m")
             assert consumer.load_seconds > 0
+
+
+def wide_model_builder():
+    return Sequential([Dense(16, name="d")], input_shape=(32,), seed=2)
+
+
+def params(model):
+    return {
+        f"{layer.name}/{p}": array
+        for layer in model.layers
+        for p, array in layer.params.items()
+    }
+
+
+class TestZeroCopyConsumer:
+    """With the pipeline knob no byte is copied between the verified blob
+    and the served model; without it the model keeps private copies."""
+
+    @contextmanager
+    def _placed(self, pipelined, op):
+        """Save v1 (applied) and a sparse v2 (placed by ``op``); yields
+        the model ``op`` filled, v2, and the consumer's held base blob."""
+        kw = dict(mode=CaptureMode.SYNC, strategy=TransferStrategy.HOST_TO_HOST)
+        with Viper(pipeline=PipelineConfig(enabled=pipelined), delta=True) as viper:
+            consumer = viper.consumer(model_builder=wide_model_builder)
+            v1 = wide_model_builder().state_dict()
+            viper.save_weights("m", v1, **kw)
+            consumer.apply_update("m")
+            v2 = dict(v1, **{"d/b": v1["d/b"] + 1.0})
+            res = viper.save_weights("m", v2, **kw)
+            assert 0 < res.record.wire_bytes < res.record.nbytes  # a frame
+            getattr(consumer, op)("m")
+            if op == "apply_update":
+                model = consumer.current_model()
+            else:
+                model = consumer.canary_snapshot().model
+            held = viper.handler.delta._held_blob["m"].blob
+            yield model, v2, np.frombuffer(held, dtype=np.uint8)
+
+    @pytest.mark.parametrize("op", ["apply_update", "stage_candidate"])
+    def test_pipelined_model_serves_the_verified_blob(self, op):
+        with self._placed(True, op) as (model, v2, held):
+            for key, array in params(model).items():
+                assert not array.flags.writeable, key
+                assert np.shares_memory(array, held), key
+                with pytest.raises(ValueError):
+                    array[...] = 0.0
+                assert array.tobytes() == v2[key].tobytes(), key
+
+    @pytest.mark.parametrize("op", ["apply_update", "stage_candidate"])
+    def test_default_model_keeps_private_copies(self, op):
+        with self._placed(False, op) as (model, v2, held):
+            for key, array in params(model).items():
+                assert array.flags.writeable, key
+                assert not np.shares_memory(array, held), key
+                assert array.tobytes() == v2[key].tobytes(), key
+
+    def test_copying_load_after_a_zero_copy_one(self):
+        model = wide_model_builder()
+        frozen = model.state_dict()  # private copies
+        for array in frozen.values():
+            array.flags.writeable = False
+        model.load_state_dict(frozen, copy=False)
+        assert params(model)["d/W"] is frozen["d/W"]
+        fresh = {k: v + 1.0 for k, v in frozen.items()}
+        model.load_state_dict(fresh)  # no write into the read-only arrays
+        for key, array in params(model).items():
+            assert array.flags.writeable and array is not frozen[key]
+            np.testing.assert_array_equal(array, fresh[key])
 
 
 class TestProducerView:

@@ -278,16 +278,17 @@ class TestDeltaManager:
 
     def test_disabled_always_monolithic(self):
         mgr = DeltaManager(DeltaConfig(enabled=False))
-        blob = ViperSerializer().dumps(make_state(20))
-        frame, stats = mgr.encode_for_save("m", 1, blob)
+        state = make_state(20)
+        blob = ViperSerializer().dumps(state)
+        frame, stats, saved = mgr.encode_for_save("m", 1, state)
         assert frame is None and stats.mode == "monolithic"
-        assert stats.bytes_on_wire == len(blob)
+        assert stats.bytes_on_wire == len(blob) and saved.blob() == blob
 
     def test_no_base_monolithic(self):
         mgr = self._manager()
         state = make_state(21)
         blob = ViperSerializer().dumps(state)
-        frame, stats = mgr.encode_for_save("m", 1, blob, state=state)
+        frame, stats, _ = mgr.encode_for_save("m", 1, state)
         assert frame is None and stats.mode == "monolithic"
 
     def test_delta_after_consumer_registers(self):
@@ -295,13 +296,13 @@ class TestDeltaManager:
         mgr = self._manager()
         v1 = make_state(22)
         b1 = ser.dumps(v1)
-        mgr.encode_for_save("m", 1, b1, state=v1)
+        mgr.encode_for_save("m", 1, v1)
         mgr.register_loaded("m", 1, b1)
         assert mgr.held_version("m") == 1
         v2 = {k: v.copy() for k, v in v1.items()}
         v2["t0"] = v2["t0"] + 1.0
         b2 = ser.dumps(v2)
-        frame, stats = mgr.encode_for_save("m", 2, b2, state=v2)
+        frame, stats, _ = mgr.encode_for_save("m", 2, v2)
         assert frame is not None and stats.mode == "delta"
         assert len(frame) < len(b2)
         assert mgr.decode_for_load("m", frame) == b2
@@ -311,10 +312,10 @@ class TestDeltaManager:
         mgr = self._manager()
         v1 = make_state(23)
         b1 = ser.dumps(v1)
-        mgr.encode_for_save("m", 1, b1, state=v1)
+        mgr.encode_for_save("m", 1, v1)
         mgr.register_loaded("m", 1, b1)
         v2 = {k: v + 1.0 for k, v in v1.items()}  # every tensor changed
-        frame, stats = mgr.encode_for_save("m", 2, ser.dumps(v2), state=v2)
+        frame, stats, _ = mgr.encode_for_save("m", 2, v2)
         assert frame is None and stats.mode == "monolithic"
 
     def test_forget_held_forces_base_error_then_fallback(self):
@@ -322,12 +323,12 @@ class TestDeltaManager:
         mgr = self._manager()
         v1 = make_state(24)
         b1 = ser.dumps(v1)
-        mgr.encode_for_save("m", 1, b1, state=v1)
+        mgr.encode_for_save("m", 1, v1)
         mgr.register_loaded("m", 1, b1)
         v2 = {k: v.copy() for k, v in v1.items()}
         v2["t1"] = v2["t1"] * 2.0
         b2 = ser.dumps(v2)
-        frame, _ = mgr.encode_for_save("m", 2, b2, state=v2)
+        frame, _, _ = mgr.encode_for_save("m", 2, v2)
         assert frame is not None
         mgr.forget_held("m")  # the consumer restarted
         with pytest.raises(DeltaBaseError):
@@ -340,7 +341,7 @@ class TestDeltaManager:
         state = make_state(25)
         last = CACHE_VERSIONS + 2
         for v in range(1, last + 1):
-            mgr.encode_for_save("m", v, ser.dumps(state), state=state)
+            mgr.encode_for_save("m", v, state)
         assert mgr.full_blob("m", 1) is None
         assert mgr.full_blob("m", 2) is None
         for v in range(3, last + 1):  # the newest CACHE_VERSIONS survive
@@ -352,11 +353,11 @@ class TestDeltaManager:
         mgr = self._manager()
         v1 = make_state(26)
         b1 = ser.dumps(v1)
-        mgr.remember_saved("m", 1, b1, state=v1)
+        mgr.remember_saved("m", 1, v1)
         mgr.register_loaded("m", 1, b1)
         v2 = {k: v.copy() for k, v in v1.items()}
         v2["t2"] = v2["t2"] + 0.5
-        frame, stats = mgr.encode_for_save("m", 2, ser.dumps(v2), state=v2)
+        frame, stats, _ = mgr.encode_for_save("m", 2, v2)
         assert frame is not None and stats.chunks_reused > 0
 
 

@@ -3,12 +3,15 @@ nothing carried can outlive the bytes it was computed over.
 
 ``tests/core/test_delta.py`` pins the wire format and the bare
 ``encode_frame``/``decode_frame`` checks; this file covers the state the
-:class:`DeltaManager` keeps between calls — the producer's lazily built
-chunk index with digests carried from the base, and the consumer-held
-base's memoised CRC and verified-digest table.
+:class:`DeltaManager` keeps between calls — the producer's retained
+serializer pieces (shared with the base where unchanged, with their CRCs
+and digests) and lazily built chunk index, and the consumer-held base's
+memoised CRC and verified-digest table.
 """
 
+import tracemalloc
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,8 +28,8 @@ from repro.core.transfer.delta import (
     _HeldBase,
     _reconstruct,
     frame_info,
+    is_delta_frame,
 )
-from repro.core.transfer.pipeline import serialize_pipelined
 from repro.dnn import serialization as ser_mod
 from repro.dnn.serialization import ViperSerializer
 from repro.errors import DeltaBaseError, IntegrityError
@@ -102,7 +105,7 @@ def chain(mgr, *states):
     frames, blobs = [], []
     for version, state in enumerate(states, 1):
         blob = SER.dumps(state)
-        frame, _ = mgr.encode_for_save("m", version, blob, state=state)
+        frame, _, _ = mgr.encode_for_save("m", version, state)
         loaded = blob if frame is None else mgr.decode_for_load("m", frame)
         assert loaded == blob
         mgr.register_loaded("m", version, loaded)
@@ -122,70 +125,67 @@ class TestProducerCarry:
         )))
         for version, state in ((1, v1), (2, v2)):
             blob = SER.dumps(state)
-            mgr.encode_for_save("m", version, blob, state=state)
+            mgr.encode_for_save("m", version, state)
             mgr.register_loaded("m", version, blob)
         # v1 shipped whole and unhashed; v2 built v1's index (every chunk)
         # and hashed its own changed pieces: t1's payload + the v2 header.
         assert hashed["digests"] == total + chunks_of(v2, "t1") + 1
-        # As the handler saves: the piece grid comes with the blob.
-        lengths = []
-        blob = serialize_pipelined(SER, v3, piece_lengths=lengths)
         hashed["digests"] = hashed["crc_bytes"] = 0
-        frame, stats = mgr.encode_for_save(
-            "m", 3, blob, state=v3, piece_lengths=lengths
-        )
+        frame, stats, _ = mgr.encode_for_save("m", 3, v3)
         assert frame is not None and stats.chunks_reused > 0
         # v2's digests were kept from its own encode: only v3's changes.
         assert hashed["digests"] == chunks_of(v3, "t4", "t5") + 1
-        # The out-CRC is derived from the payload CRC dumps just wrote
-        # into the v2 header: only the header itself is read.
-        assert hashed["crc_bytes"] == V2_HEADER
-        assert frame_info(frame)["out_crc"] == zlib.crc32(blob)
+        # Unchanged pieces carry their CRCs; the header's payload CRC and
+        # the out-CRC are combined from them: only the changed payloads
+        # and the header itself are read.
+        changed = v3["t4"].nbytes + v3["t5"].nbytes
+        assert hashed["crc_bytes"] == changed + V2_HEADER
+        assert frame_info(frame)["out_crc"] == zlib.crc32(SER.dumps(v3))
 
     def test_full_change_early_out_hashes_nothing_until_diffed(self, hashed):
         mgr = manager()
         v1 = make_state(2)
         v2 = {k: v + 1.0 for k, v in v1.items()}
-        grids = {1: [], 2: []}
-        blobs = {
-            v: serialize_pipelined(SER, s, piece_lengths=grids[v])
-            for v, s in ((1, v1), (2, v2))
-        }
-        hashed["crc_bytes"] = 0
         for version, state in ((1, v1), (2, v2)):
-            blob = blobs[version]
-            frame, _ = mgr.encode_for_save(
-                "m", version, blob, state=state, piece_lengths=grids[version]
-            )
+            frame, _, saved = mgr.encode_for_save("m", version, state)
             assert frame is None
-            mgr.register_loaded("m", version, blob)
-        assert hashed == {"digests": 0, "crc_bytes": 0}
+            mgr.register_loaded("m", version, saved.blob())
+        # v1 is CRC'd whole; v2 CRCs its changed payloads and the header
+        # (the unchanged tensor headers carry their CRCs); nothing is
+        # digested.
+        assert hashed["digests"] == 0
+        v2_payloads = sum(a.nbytes for a in v2.values())
+        assert hashed["crc_bytes"] == len(SER.dumps(v1)) + v2_payloads + V2_HEADER
         assert mgr._produced["m"][2].index is None
         v3 = touch(v2, "t0")
-        frame, _ = mgr.encode_for_save("m", 3, SER.dumps(v3), state=v3)
+        frame, _, _ = mgr.encode_for_save("m", 3, v3)
         assert frame is not None
         assert mgr._produced["m"][2].index is not None  # built on demand
         assert mgr.decode_for_load("m", frame) == SER.dumps(v3)
 
     def test_disabled_manager_touches_nothing(self):
-        class Exploding:
-            def dump_chunks(self, state):
-                raise AssertionError("dump_chunks ran with delta disabled")
-
-        mgr = DeltaManager(DeltaConfig(enabled=False), serializer=Exploding())
-        frame, stats = mgr.encode_for_save("m", 1, bytearray(b"x" * 10), state={})
-        assert frame is None and stats.bytes_on_wire == 10
+        mgr = DeltaManager(DeltaConfig(enabled=False), serializer=SER)
+        state = make_state(13)
+        frame, stats, saved = mgr.encode_for_save("m", 1, state)
+        assert frame is None and stats.bytes_on_wire == len(SER.dumps(state))
+        assert saved.blob() == SER.dumps(state)
+        # Nothing is retained or negotiated.
+        assert mgr._produced == {} and mgr.full_blob("m", 1) is None
 
     @pytest.mark.parametrize("pipelined", [True, False], ids=["on", "off"])
-    def test_pipelined_save_takes_one_dump_chunks_pass(self, pipelined):
+    def test_delta_save_takes_no_dump_chunks_pass(self, pipelined):
         from repro.core.transfer.pipeline import PipelineConfig
 
         class Counting(ViperSerializer):
-            passes = 0
+            passes = pieces = 0
 
             def dump_chunks(self, state):
                 self.passes += 1
                 return super().dump_chunks(state)
+
+            def payload_pieces(self, state):
+                self.pieces += 1
+                return super().payload_pieces(state)
 
         ser = Counting()
         kw = dict(mode=CaptureMode.SYNC, strategy=TransferStrategy.HOST_TO_HOST)
@@ -194,10 +194,12 @@ class TestProducerCarry:
         with Viper(serializer=ser, pipeline=pipe, delta=delta) as viper:
             v1 = make_state(11)
             for state in (v1, touch(v1, "t0")):
-                before = ser.passes
+                before = ser.pieces
                 res = viper.save_weights("m", state, **kw)
-                assert ser.passes == before + 1
+                # The manager serializes from the payload seam, once.
+                assert ser.pieces == before + 1
                 viper.load_weights("m")
+            assert ser.passes == 0
             assert res.record.wire_bytes < res.record.nbytes  # a real frame
             entry = viper.handler.delta._produced["m"][res.version]
             assert entry.piece_lengths == [
@@ -207,15 +209,114 @@ class TestProducerCarry:
     def test_retained_blob_is_one_immutable_object(self):
         mgr = manager()
         state = make_state(3)
-        mutable = bytearray(SER.dumps(state))
-        mgr.encode_for_save("m", 1, mutable, state=state)
+        expected = SER.dumps(state)
+        _, _, saved = mgr.encode_for_save("m", 1, state)
         kept = mgr.full_blob("m", 1)
-        assert type(kept) is bytes and kept == mutable
-        mutable[20] ^= 0xFF  # the caller's buffer is not the retained one
-        assert mgr.full_blob("m", 1) == SER.dumps(state)
-        frozen = SER.dumps(state)
-        mgr.encode_for_save("m", 2, frozen, state=state)
-        assert mgr.full_blob("m", 2) is frozen  # bytes are never copied
+        assert type(kept) is bytes and kept == expected
+        assert saved.blob() is kept and mgr.full_blob("m", 1) is kept
+        state["t2"][...] += 1.0  # the live arrays are not the retained bytes
+        assert mgr.full_blob("m", 1) == expected
+
+
+SYNC_HOST = dict(mode=CaptureMode.SYNC, strategy=TransferStrategy.HOST_TO_HOST)
+
+
+@pytest.fixture
+def sparse(hashed):
+    """Steady-state sparse saves of a 6-tensor model through
+    ``Viper.save_weights``, each loaded as the next base: the deployment,
+    the base state ``v1`` (itself a delta save) and ``v2`` (``t4``
+    touched), their producer entries, ``v2``'s save result, and what that
+    save alone hashed."""
+    with Viper(delta=DeltaConfig(enabled=True, chunk_bytes=CHUNK)) as viper:
+        v0 = make_state(14, size=2000)
+        v1 = touch(v0, "t1")
+        for state in (v0, v1):
+            viper.save_weights("m", state, **SYNC_HOST)
+            viper.load_weights("m")
+        v2 = touch(v1, "t4")
+        hashed["digests"] = hashed["crc_bytes"] = 0
+        res = viper.save_weights("m", v2, **SYNC_HOST)
+        produced = viper.handler.delta._produced["m"]
+        yield SimpleNamespace(
+            viper=viper, v1=v1, v2=v2, base=produced[2],
+            entry=produced[res.version], res=res, counts=dict(hashed),
+        )
+
+
+class TestTensorKeyedSave:
+    """Per sparse ``Viper.save_weights``: the work follows the tensors that
+    changed, and every check still runs on real bytes."""
+
+    def test_only_changed_pieces_are_crcd_copied_and_hashed(self, sparse):
+        assert sparse.res.record.wire_bytes < sparse.res.record.nbytes
+        changed = sparse.v2["t4"].nbytes
+        assert sparse.counts["crc_bytes"] == changed + V2_HEADER
+        assert sparse.counts["digests"] == chunks_of(sparse.v2, "t4") + 1
+        # Copied: the pieces this entry does not share with its base.
+        shared = {id(p) for p in sparse.base.pieces}
+        copied = [p for p in sparse.entry.pieces if id(p) not in shared]
+        assert sum(p.length for p in copied) == changed + V2_HEADER
+        assert all(type(p.buf) is bytes for p in copied)
+        # The full blob is never joined.
+        assert sparse.entry._blob is None
+
+    def test_unchanged_tensor_piece_is_the_base_object(self, sparse):
+        for i, name in enumerate(sorted(sparse.v1)):
+            # Piece 0 is the v2 header, 1 the tensor count, then a (header,
+            # payload) pair per tensor in name order.
+            payload = 3 + 2 * i
+            same = sparse.entry.pieces[payload] is sparse.base.pieces[payload]
+            assert same == (name != "t4"), name
+            assert sparse.entry.pieces[payload - 1] is sparse.base.pieces[payload - 1]
+
+    def test_no_full_size_copy_is_allocated(self):
+        with Viper(delta=True) as viper:  # 64 KB digest chunks
+            v1 = make_state(15, size=64_000)  # 6 x 256 KB
+            v2 = touch(v1, "t1")
+            for state in (v1, v2):
+                viper.save_weights("m", state, **SYNC_HOST)
+                viper.load_weights("m")
+            v3 = touch(v2, "t4")
+            tracemalloc.start()
+            try:
+                viper.save_weights("m", v3, **SYNC_HOST)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # The t4 piece copy and the frame, one tensor each: well below one
+        # copy of the six-tensor blob.
+        assert peak < len(SER.dumps(v3)) / 2
+
+    def test_async_capture_is_isolated_from_later_mutation(self, sparse):
+        viper = sparse.viper
+        v3 = touch(sparse.v2, "t0")
+        expected = SER.dumps(v3)
+        res = viper.save_weights(
+            "m", v3, mode=CaptureMode.ASYNC,
+            strategy=TransferStrategy.HOST_TO_HOST,
+        )
+        entry = viper.handler.delta._produced["m"][res.version]
+        for array in v3.values():  # the trainer moves on at once
+            array[...] = -7.0
+        viper.drain()
+        assert b"".join(bytes(p.view()) for p in entry.pieces) == expected
+        staged, _ = viper.consumer_node.dram.get(res.record.path)
+        assert is_delta_frame(staged)
+        assert SER.dumps(viper.load_weights("m").state) == expected
+
+    def test_same_name_and_shape_new_bytes_ship_as_a_literal(self, sparse):
+        viper = sparse.viper
+        staged, _ = viper.consumer_node.dram.get(sparse.res.record.path)
+        literal = sum(n for tag, _, n in ops(staged) if tag != _OP_REUSE)
+        # Every byte of t4 and of the v2 header rides as a literal.
+        assert literal == sparse.v2["t4"].nbytes + V2_HEADER
+        assert SER.dumps(viper.load_weights("m").state) == SER.dumps(sparse.v2)
+
+    def test_full_blob_is_the_serializer_output(self, sparse):
+        full = sparse.viper.handler.delta.full_blob("m", sparse.res.version)
+        assert full == SER.dumps(sparse.v2)
+        assert zlib.crc32(full) == sparse.entry.crc
 
 
 class TestConsumerMemo:
@@ -227,7 +328,7 @@ class TestConsumerMemo:
         (_, f2), _ = chain(mgr, v1, v2)
         literals2 = sum(1 for tag, _, _ in ops(f2) if tag != _OP_REUSE)
         blob3 = SER.dumps(v3)
-        f3, _ = mgr.encode_for_save("m", 3, blob3, state=v3)
+        f3, _, _ = mgr.encode_for_save("m", 3, v3)
         hashed["digests"] = hashed["crc_bytes"] = 0
         assert mgr.decode_for_load("m", f3) == blob3
         literals3 = sum(1 for tag, _, _ in ops(f3) if tag != _OP_REUSE)
@@ -244,7 +345,7 @@ class TestConsumerMemo:
         v3 = touch(v2, "t3")
         chain(mgr, v1, v2)
         blob3 = SER.dumps(v3)
-        f3, _ = mgr.encode_for_save("m", 3, blob3, state=v3)
+        f3, _, _ = mgr.encode_for_save("m", 3, v3)
         hashed["crc_bytes"] = 0
         out = mgr.decode_for_load("m", f3)
         state = SER.loads(out, blob_crc=mgr.decoded_crc("m", out))
@@ -261,13 +362,13 @@ class TestConsumerMemo:
         mgr = manager()
         v1 = make_state(5)
         blob1 = SER.dumps(v1)
-        mgr.encode_for_save("m", 1, blob1, state=v1)
+        mgr.encode_for_save("m", 1, v1)
         mgr.register_loaded("m", 1, blob1)  # loaded whole: nothing known
         held = mgr._held_blob["m"]
         assert held.crc is None and held.digests == {}
         v2 = touch(v1, "t0")
         blob2 = SER.dumps(v2)
-        f2, _ = mgr.encode_for_save("m", 2, blob2, state=v2)
+        f2, _, _ = mgr.encode_for_save("m", 2, v2)
         reuse = sum(1 for tag, _, _ in ops(f2) if tag == _OP_REUSE)
         hashed["digests"] = hashed["crc_bytes"] = 0
         mgr.decode_for_load("m", f2)
@@ -309,7 +410,7 @@ class TestFailedDecodeLeavesNoTrace:
         newest = v3 if warm else v2
         version = 3 if warm else 2
         blob = SER.dumps(newest)
-        frame, _ = mgr.encode_for_save("m", version, blob, state=newest)
+        frame, _, _ = mgr.encode_for_save("m", version, newest)
         held = mgr._held_blob["m"]
         return mgr, frame, blob, held
 
@@ -360,7 +461,7 @@ class TestHeldBaseLifetime:
         assert fresh is not held
         assert fresh.crc is None and fresh.digests == {}
         v3 = touch(v2, "t1")
-        f3, _ = mgr.encode_for_save("m", 3, SER.dumps(v3), state=v3)
+        f3, _, _ = mgr.encode_for_save("m", 3, v3)
         mgr.decode_for_load("m", f3)
         mgr.forget_held("m")
         assert "m" not in mgr._held_blob and "m" not in mgr._decoded
@@ -372,9 +473,9 @@ class TestHeldBaseLifetime:
         v1 = make_state(8)
         v2 = touch(v1, "t3")
         blob1, blob2 = SER.dumps(v1), SER.dumps(v2)
-        mgr.encode_for_save("m", 1, blob1, state=v1)
+        mgr.encode_for_save("m", 1, v1)
         mgr.register_loaded("m", 1, blob1)
-        f2, _ = mgr.encode_for_save("m", 2, blob2, state=v2)
+        f2, _, _ = mgr.encode_for_save("m", 2, v2)
         decoded = mgr.decode_for_load("m", f2)
         # An equal blob that is not the decode's own output (say, the
         # producer-retained fallback) starts with nothing known.
@@ -390,7 +491,7 @@ class TestHeldBaseLifetime:
         v3 = touch(v2, "t4")
         _, (_, blob2) = chain(mgr, v1, v2)
         blob3 = SER.dumps(v3)
-        f3, _ = mgr.encode_for_save("m", 3, blob3, state=v3)
+        f3, _, _ = mgr.encode_for_save("m", 3, v3)
         # The held v2 (CRC and table on record) is swapped for other bytes
         # of the same length, registered under the same version.
         imposter = SER.dumps(touch(v2, "t0"))

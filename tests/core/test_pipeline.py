@@ -143,11 +143,3 @@ class TestSerializePipelined:
         state = sample_state()
         blob = serialize_pipelined(ser, state)
         assert type(blob) is bytes and blob == ser.dumps(state)
-
-    def test_fills_the_piece_grid(self):
-        ser = ViperSerializer()
-        state = sample_state()
-        lengths = []
-        blob = serialize_pipelined(ser, state, piece_lengths=lengths)
-        assert lengths == [memoryview(p).nbytes for p in ser.dump_chunks(state)]
-        assert sum(lengths) == len(blob)

@@ -74,8 +74,10 @@ class DictModel:
     def __init__(self):
         self.state: Dict[str, np.ndarray] = {}
 
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        self.state = {k: np.array(v, copy=True) for k, v in state.items()}
+    def load_state_dict(
+        self, state: Dict[str, np.ndarray], *, copy: bool = True
+    ) -> None:
+        self.state = {k: np.array(v, copy=copy) for k, v in state.items()}
 
 
 @dataclass

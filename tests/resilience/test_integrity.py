@@ -75,6 +75,20 @@ class TestChecksumFormat:
         with pytest.raises(StorageError, match="version"):
             ser.loads(bytes(blob))
 
+    @pytest.mark.parametrize("cut", [4, 10, 13, 40, 200, 530, -200, -10, -1])
+    @pytest.mark.parametrize("fmt", ["viper", "viper-v1", "h5py"])
+    def test_truncated_blob_is_an_integrity_error(self, fmt, cut):
+        # A format without a CRC (h5py-like, legacy v1) has no checksum to
+        # catch a short read first: the parser's bounds checks must.
+        if fmt == "h5py":
+            ser, blob = H5LikeSerializer(), H5LikeSerializer().dumps(STATE)
+        else:
+            ser, blob = ViperSerializer(), ViperSerializer().dumps(STATE)
+            if fmt == "viper-v1":
+                blob = b"VIPR" + struct.pack("<I", 1) + blob[12:]
+        with pytest.raises(IntegrityError):
+            ser.loads(blob[:cut])
+
     def test_h5_baseline_remains_checksum_free(self):
         # The h5py-like baseline stays faithful to what h5py does: no
         # integrity envelope, corruption passes through undetected here.
@@ -159,6 +173,37 @@ class TestEndToEndCorruption:
             site="store.get:polaris.a100-hbm",
             kind="corrupt",
         ).value == 1
+
+    def test_truncated_checksum_free_blob_is_a_rejected_swap(self):
+        from repro import TransferStrategy
+        from repro.dnn.layers import Dense
+        from repro.dnn.models import Sequential
+
+        def builder():
+            return Sequential([Dense(16, name="d")], input_shape=(32,), seed=3)
+
+        kw = dict(mode=CaptureMode.SYNC, strategy=TransferStrategy.HOST_TO_HOST)
+        with Viper(serializer=H5LikeSerializer()) as viper:
+            consumer = viper.consumer(model_builder=builder)
+            v1 = builder().state_dict()
+            viper.save_weights("m", v1, **kw)
+            consumer.apply_update("m")
+            res = viper.save_weights(
+                "m", {k: v + 1.0 for k, v in v1.items()}, **kw
+            )
+            store = viper.consumer_node.dram
+            blob, _ = store.get(res.record.path)
+            store.put(res.record.path, blob[:-10])  # a short staged write
+            with pytest.raises(RetriesExhausted) as info:
+                consumer.apply_update("m")
+            assert isinstance(info.value.__cause__, IntegrityError)
+            snap = viper.handler.stats.snapshot()
+            assert snap.corruptions == viper.handler.retry_policy.max_attempts
+            assert snap.swaps_rejected == 1
+            assert consumer.current_version == 1
+            served = consumer.current_model().state_dict()
+            for key in v1:
+                np.testing.assert_array_equal(served[key], v1[key])
 
     def test_pipelined_zero_copy_load_verifies(self):
         from repro.core.transfer.pipeline import PipelineConfig
