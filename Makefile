@@ -17,7 +17,8 @@ lint:
 
 # The stdlib-only part of the lint gate, runnable without ruff/mypy:
 # byte-compile every module and fail on unused imports, bare excepts,
-# mutable default arguments and duplicate definitions.
+# mutable default arguments, duplicate definitions, undefined names and
+# modules no entry point imports.
 lint-local:
 	python -m compileall -q src
 	PYTHONPATH=src python -m pytest -q tests/test_lint_local.py

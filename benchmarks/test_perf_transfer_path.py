@@ -1,33 +1,26 @@
-"""Wall-clock microbenchmark: monolithic vs chunked/pipelined transfer.
+"""Transfer-path benchmark: the pipeline knob's simulated law, and the
+serializer's throughput.
 
 For each paper application (NT3.A 600 MB, TC1 4.7 GB, PtychoNN 4.5 GB)
-we move a real payload through the fabric twice and time it:
+the simulated update latency of every strategy is computed with the
+pipeline off and on.  The knob's wall-clock effect, the zero-copy load,
+is gated end to end by ``benchmarks/e2e`` (``full_update_delta`` and
+``sparse_update``), not here.
 
-- **monolithic** — ``dumps`` (join copy) -> ``send`` (wire snapshot copy)
-  -> ``recv`` -> ``loads(copy=True)`` (per-tensor copies); every stage
-  serial, four full-payload copies end to end.
-- **pipelined** — ``dump_chunks`` iovec -> :class:`Chunker` views ->
-  ``scatter_send`` (no wire copy) overlapped with a receiver thread
-  doing ``recv_scatter`` into a :class:`BufferPool` buffer (the single
-  reassembly copy) -> ``loads(copy=False)`` aliasing that buffer.
+Outputs ``benchmarks/results/BENCH_transfer.json`` (the simulated
+monolithic/pipelined latencies per model and strategy), and gates:
 
-The paper model sizes drive the *virtual* descriptors (the simulated
-side); the real payload is scaled down so the benchmark finishes in
-seconds.  ``VIPER_PERF_QUICK=1`` shrinks it further for the CI smoke job.
-
-Outputs ``benchmarks/results/BENCH_transfer.json`` with both numbers per
-model plus the simulated monolithic/pipelined latencies, and gates:
-
-- pipelined wall-clock >= 1.5x faster for the TC1-class payload;
 - the simulated law never slower than monolithic anywhere on a grid;
 - the Figure 8 shape holds with the pipeline off AND on;
 - serializer throughput within 2x of the committed baseline
   (the CI perf-smoke regression gate).
+
+``VIPER_PERF_QUICK=1`` shrinks the serializer payload and the Figure 8
+sweep for the CI smoke job.
 """
 
 import json
 import os
-import threading
 import time
 
 import numpy as np
@@ -35,7 +28,7 @@ import pytest
 
 from repro.analysis.latency import measure_latencies
 from repro.apps import get_app
-from repro.core.transfer.pipeline import BufferPool, Chunker, PipelineConfig
+from repro.core.transfer.pipeline import PipelineConfig
 from repro.core.transfer.strategies import (
     CaptureMode,
     TransferStrategy,
@@ -43,20 +36,13 @@ from repro.core.transfer.strategies import (
 )
 from repro.dnn.serialization import ViperSerializer
 from repro.substrates.cost import GB, MB
-from repro.substrates.network.channels import Fabric
-from repro.substrates.network.links import LinkKind, LinkSpec
 from repro.substrates.profiles import POLARIS
 
 QUICK = os.environ.get("VIPER_PERF_QUICK", "") not in ("", "0")
 
-#: Real bytes moved per measured transfer (virtual descriptors stay at
-#: paper scale).  Full mode is sized so copy costs dominate thread set-up;
-#: quick mode keeps the CI smoke job under a few seconds.
+#: Real bytes the serializer gate moves per measurement.
 REAL_PAYLOAD_BYTES = 8 * MB if QUICK else 64 * MB
 REPEATS = 2 if QUICK else 3
-#: Wall-clock chunks sized for the real payload (not the simulated one).
-WALL_CHUNK_BYTES = 1 * MB
-WALL_LANES = 2
 
 APPS = ("nt3a", "tc1", "ptychonn")
 
@@ -67,70 +53,6 @@ def build_state(ntensors: int, total_bytes: int) -> dict:
     return {
         f"layer{i}/W": rng.standard_normal(per).astype(np.float32)
         for i in range(ntensors)
-    }
-
-
-def make_wall_fabric():
-    # Loopback with no modeled sleep: the benchmark times real byte
-    # movement, the simulated laws are asserted separately below.
-    link = LinkSpec("loop", LinkKind.LOOPBACK, bandwidth=1e15)
-    fabric = Fabric(default_link=link)
-    return fabric, fabric.endpoint("src"), fabric.endpoint("dst")
-
-
-def run_monolithic(serializer, state, src, dst) -> float:
-    t0 = time.perf_counter()
-    blob = serializer.dumps(state)
-    src.send("dst", blob)
-    msg = dst.recv(timeout=30.0)
-    out = serializer.loads(msg.payload, copy=True)
-    elapsed = time.perf_counter() - t0
-    assert len(out) == len(state)
-    return elapsed
-
-
-def run_pipelined(serializer, state, src, dst, pool) -> float:
-    chunker = Chunker(WALL_CHUNK_BYTES)
-    loaded = {}
-    # Steady state allocates nothing: the pooled buffer absorbs the one
-    # reassembly copy and is recycled across repeats.
-    buf = pool.acquire(2 * REAL_PAYLOAD_BYTES)
-
-    def receiver():
-        msg = dst.recv_scatter(timeout=30.0, into=buf)
-        loaded["state"] = serializer.loads(msg.payload, copy=False)
-
-    t0 = time.perf_counter()
-    rx = threading.Thread(target=receiver, daemon=True)
-    rx.start()
-    chunks = chunker.split_pieces(serializer.dump_chunks(state))
-    src.scatter_send("dst", list(chunks), lanes=WALL_LANES)
-    rx.join(30.0)
-    elapsed = time.perf_counter() - t0
-    assert not rx.is_alive()
-    assert len(loaded["state"]) == len(state)
-    pool.release(buf)
-    return elapsed
-
-
-def measure_wall_clock(app_name: str) -> dict:
-    app = get_app(app_name)
-    serializer = ViperSerializer()
-    state = build_state(app.checkpoint_tensors, REAL_PAYLOAD_BYTES)
-    pool = BufferPool(max_buffers=2)
-    mono, piped = [], []
-    for _ in range(REPEATS):
-        fabric, src, dst = make_wall_fabric()
-        mono.append(run_monolithic(serializer, state, src, dst))
-        piped.append(run_pipelined(serializer, state, src, dst, pool))
-        fabric.close()
-    return {
-        "virtual_bytes": app.checkpoint_bytes,
-        "tensors": app.checkpoint_tensors,
-        "real_payload_bytes": REAL_PAYLOAD_BYTES,
-        "monolithic_s": min(mono),
-        "pipelined_s": min(piped),
-        "speedup": min(mono) / min(piped),
     }
 
 
@@ -158,11 +80,6 @@ def bench_results(results_dir):
     pipeline = PipelineConfig(enabled=True)  # default 256 MB chunks, 2 lanes
     report = {
         "quick": QUICK,
-        "wall_clock": {
-            "chunk_bytes": WALL_CHUNK_BYTES,
-            "lanes": WALL_LANES,
-            "models": {name: measure_wall_clock(name) for name in APPS},
-        },
         "simulated": {
             "chunk_bytes": pipeline.chunk_bytes,
             "lanes": pipeline.lanes,
@@ -171,28 +88,7 @@ def bench_results(results_dir):
     }
     path = results_dir / "BENCH_transfer.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
-    lines = ["Transfer path: monolithic vs chunked/pipelined (wall-clock)"]
-    for name, row in report["wall_clock"]["models"].items():
-        lines.append(
-            f"{name:10s} mono {row['monolithic_s'] * 1e3:8.1f} ms   "
-            f"piped {row['pipelined_s'] * 1e3:8.1f} ms   "
-            f"speedup {row['speedup']:.2f}x"
-        )
-    print("\n" + "\n".join(lines))
     return report
-
-
-class TestWallClock:
-    def test_tc1_speedup(self, bench_results):
-        speedup = bench_results["wall_clock"]["models"]["tc1"]["speedup"]
-        # The headline acceptance gate: >= 1.5x on the TC1-class payload.
-        # The quick CI payload is too small for copy costs to fully
-        # dominate scheduling noise, so the smoke gate is looser.
-        assert speedup >= (1.1 if QUICK else 1.5)
-
-    def test_all_models_not_slower(self, bench_results):
-        for name, row in bench_results["wall_clock"]["models"].items():
-            assert row["speedup"] > (0.9 if QUICK else 1.0), name
 
 
 class TestSimulatedLaw:

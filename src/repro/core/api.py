@@ -169,7 +169,7 @@ class Viper:
             self.recovery = {"replayed_ops": replayed, **counts}
             self.handler.stats.record_recovery(replayed)
         # An armed fault plan (chaos testing) hooks this deployment's
-        # fabric and tier stores for the session; close() disarms it.
+        # tier stores for the session; close() disarms it.
         self.fault_plan = fault_plan
         if fault_plan is not None:
             fault_plan.bind_metrics(self.metrics).arm(self.cluster)
@@ -223,7 +223,6 @@ class Viper:
             self.fault_plan.disarm()
         self.handler.close()
         self.broker.close()
-        self.cluster.close()
         if self.journal is not None:
             self.journal.close()
 

@@ -10,9 +10,9 @@
 - :mod:`flush` — the background thread flushing historical checkpoints
   to the PFS for fault tolerance.
 - :mod:`engine` — the producer-side asynchronous capture/transfer worker.
-- :mod:`pipeline` — the chunked, zero-copy transfer path (Chunker /
-  BufferPool / the one-pass ``serialize_pipelined``) and its config
-  knob, whose stage overlap is a simulated law.
+- :mod:`pipeline` — the chunked-transfer knob, whose stage overlap is
+  a simulated law and whose wall-clock effect is the zero-copy load,
+  and the one-pass ``serialize_pipelined``.
 - :mod:`delta` — the delta wire path (chunk digests, recipe frames,
   DeltaManager negotiation); the one mechanism that ships only what
   changed.
@@ -29,11 +29,7 @@ from repro.core.transfer.delta import (
     encode_frame,
     is_delta_frame,
 )
-from repro.core.transfer.pipeline import (
-    BufferPool,
-    Chunker,
-    PipelineConfig,
-)
+from repro.core.transfer.pipeline import PipelineConfig
 from repro.core.transfer.strategies import (
     CaptureMode,
     StrategyTimings,
@@ -54,8 +50,6 @@ __all__ = [
     "compute_timings",
     "pipelined_phase_cost",
     "PipelineConfig",
-    "Chunker",
-    "BufferPool",
     "ChunkIndex",
     "DeltaConfig",
     "DeltaManager",

@@ -73,7 +73,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import DeltaBaseError, IntegrityError, StorageError
-from repro.core.transfer.pipeline import Chunker
 from repro.dnn.serialization import ViperSerializer, crc32_combine
 from repro.substrates.cost import KB
 
@@ -259,7 +258,12 @@ def encode_frame(
     does not win.
     """
     # The chunk_bounds grid as zero-copy views (it restarts at every piece).
-    chunks: List[memoryview] = list(Chunker(chunk_bytes).split_pieces(pieces))
+    chunks: List[memoryview] = []
+    for piece in pieces:
+        mv = memoryview(piece).cast("B")
+        chunks += [
+            mv[start : start + n] for start, n in chunk_bounds([len(mv)], chunk_bytes)
+        ]
     out_len = sum(len(chunk) for chunk in chunks)
     if out_crc is None:
         out_crc = 0
@@ -503,8 +507,8 @@ class _Piece:
         if self.digests is None:
             view = self.view()
             self.digests = [
-                _digest(view[start : start + chunk_bytes])
-                for start in range(0, self.length, chunk_bytes)
+                _digest(view[start : start + n])
+                for start, n in chunk_bounds([self.length], chunk_bytes)
             ]
         return self.digests
 

@@ -17,8 +17,9 @@ Each serializer also exposes a *timing* surface (``fixed_overhead`` /
 ``per_tensor_overhead``) the transfer engine charges on serialize and
 deserialize; the h5py-like baseline is slower per tensor.
 
-Both serializers additionally expose an *iovec* surface for the chunked
-transfer pipeline (:mod:`repro.core.transfer.pipeline`):
+Both serializers additionally expose an *iovec* surface for the save
+path (:func:`~repro.core.transfer.pipeline.serialize_pipelined` and the
+delta encoder in :mod:`repro.core.transfer.delta`):
 
 - ``dump_chunks`` yields the serialized stream as zero-copy pieces —
   small header ``bytes`` plus ``memoryview`` s over the live tensors —
@@ -26,15 +27,14 @@ transfer pipeline (:mod:`repro.core.transfer.pipeline`):
 - ``payload_pieces`` / ``header_for`` split that stream at its checksum:
   the pieces after the CRC-bearing header, with no CRC pass, and the
   header for a payload CRC the caller computed (or carried) itself;
-- ``load_chunks`` reassembles a chunk stream and deserializes it;
 - ``loads(..., copy=False)`` returns read-only arrays aliasing the input
   buffer: a zero-copy load for consumers that only read the weights.
 
 CRC-32 is linear, so a CRC computed over some bytes never has to be
 computed again over a whole that contains them: :func:`crc32_combine`
-joins two CRCs, which lets ``blob_crc`` (producer) and
-``loads(..., blob_crc=)`` (consumer) derive the whole-blob and the
-payload CRC from each other instead of re-reading every byte.
+joins two CRCs, which lets the delta path fold a whole-blob CRC from
+per-piece CRCs and ``loads(..., blob_crc=)`` derive the payload CRC
+from a verified whole-blob CRC instead of re-reading every byte.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import math
 import struct
 import zlib
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -140,10 +140,6 @@ class Serializer:
         checksumming format then derives its check from it."""
         raise NotImplementedError
 
-    def blob_crc(self, blob) -> int:
-        """``zlib.crc32(blob)`` of a blob this serializer just produced."""
-        return zlib.crc32(blob)
-
     def payload_pieces(self, state: Dict[str, np.ndarray]) -> List:
         """The stream that follows the CRC-bearing header, as zero-copy
         pieces (views over the live tensors), without a CRC pass.
@@ -158,7 +154,7 @@ class Serializer:
         payload's CRC-32; empty for a format that carries no checksum."""
         return b""
 
-    # -- iovec surface (chunked pipeline) -------------------------------
+    # -- iovec surface (save path) --------------------------------------
     def dump_chunks(self, state: Dict[str, np.ndarray]) -> Iterator:
         """Yield the serialized stream as zero-copy bytes-like pieces.
 
@@ -168,19 +164,6 @@ class Serializer:
         mutate ``state`` until the pieces have been consumed.
         """
         raise NotImplementedError
-
-    def load_chunks(self, chunks: Iterable, *, copy: bool = True) -> Dict[str, np.ndarray]:
-        """Reassemble a chunk stream (in order) and deserialize it.
-
-        One reassembly copy into a contiguous buffer, then a
-        ``loads(..., copy=copy)`` over it — with ``copy=False`` the
-        returned arrays alias that buffer (read-only).
-        """
-        buf = bytearray()
-        for chunk in chunks:
-            buf += chunk
-        # ``buf`` is privately owned, so aliasing it with copy=False is safe.
-        return self.loads(buf, copy=copy)
 
     # -- timing model ---------------------------------------------------
     def serialize_seconds(self, ntensors: int) -> float:
@@ -329,27 +312,6 @@ class ViperSerializer(Serializer):
 
     def header_for(self, payload_crc: int) -> bytes:
         return _VIPER_MAGIC + struct.pack("<II", _FORMAT_VERSION, payload_crc)
-
-    def blob_crc(self, blob) -> int:
-        """The whole-blob CRC from the v2 header's payload CRC plus the 12
-        header bytes: no payload byte is read.
-
-        The header is taken at its word, so only the producer whose
-        :meth:`dump_chunks` just wrote it may ask; a receiver checks
-        instead (:meth:`loads`).  Anything but a v2 blob is CRC'd whole.
-        """
-        mv = memoryview(blob)
-        if (
-            len(mv) < _V2_PAYLOAD_OFFSET
-            or mv[:4] != _VIPER_MAGIC
-            or struct.unpack_from("<I", mv, 4)[0] != _FORMAT_VERSION
-        ):
-            return zlib.crc32(mv)
-        (payload_crc,) = struct.unpack_from("<I", mv, 8)
-        return crc32_combine(
-            zlib.crc32(mv[:_V2_PAYLOAD_OFFSET]), payload_crc,
-            len(mv) - _V2_PAYLOAD_OFFSET,
-        )
 
     def loads(self, blob, *, copy: bool = True, blob_crc: Optional[int] = None):
         mv = memoryview(blob)

@@ -6,10 +6,9 @@ scale.  This package makes partial failure a first-class, *testable*
 citizen:
 
 - :mod:`repro.resilience.faults` — a seeded :class:`FaultPlan` that
-  injects link drops, stalls, tier write failures, and payload
-  corruption at configurable probabilities or exact ``(site, op)``
-  points, via zero-overhead hooks in the network fabric, the link
-  timing laws, and the tier stores.
+  injects drops, stalls, tier write failures, and payload corruption
+  at configurable probabilities or exact ``(site, op)`` points, via
+  zero-overhead hooks in the link timing laws and the tier stores.
 - :mod:`repro.resilience.retry` — a :class:`RetryPolicy` (bounded
   attempts, exponential backoff with seeded jitter on the simulated
   clock, per-attempt deadline) and the :func:`execute_with_retry`

@@ -2,8 +2,8 @@
 
 A :class:`FaultPlan` is a list of :class:`FaultRule` s plus a seed.  Each
 hookable operation in the stack names a *site* — e.g.
-``"store.put:polaris.lustre"`` or ``"link.send:producer.gpu->consumer.gpu"``
-— and asks the armed plan to :meth:`~FaultPlan.fire`.  The plan keeps a
+``"store.put:polaris.lustre"`` or ``"link.time:polaris.gpudirect"`` — and
+asks the armed plan to :meth:`~FaultPlan.fire`.  The plan keeps a
 per-site operation counter, so a rule can target an exact ``(site, op)``
 point (fully reproducible single faults) or a probability (chaos testing);
 the probabilistic draws come from one :class:`random.Random` stream *per
@@ -27,9 +27,8 @@ CORRUPT      flip one payload byte (silent data corruption, caught by the
 ===========  ==============================================================
 
 Hook sites (armed via :meth:`FaultPlan.arm`) live in
-:class:`~repro.substrates.network.channels.Fabric` (``link.send:*``),
 :class:`~repro.substrates.memory.storage.TierStore` (``store.put:*`` /
-``store.get:*``), and the :mod:`~repro.substrates.network.links` timing
+``store.get:*``) and the :mod:`~repro.substrates.network.links` timing
 laws (``link.time:*``).  Every hook is a single ``is None`` check when no
 plan is armed — the unfaulted hot path pays nothing.
 
@@ -95,7 +94,7 @@ class FaultRule:
 
     Attributes:
         site: ``fnmatch`` pattern over site names, e.g. ``"store.put:*"``
-            or ``"link.send:*->consumer.gpu"``.
+            or ``"link.time:*gpudirect"``.
         kind: the fault to inject when the rule fires.
         probability: chance of firing per matching operation (0 disables
             the probabilistic path).
@@ -205,7 +204,6 @@ class FaultPlan:
         self._rule_hits: Dict[int, int] = {}
         self._injections: List[Injection] = []
         self._armed_stores: List[Any] = []
-        self._armed_fabrics: List[Any] = []
         self._links_hooked = False
 
     # ------------------------------------------------------------------
@@ -319,29 +317,23 @@ class FaultPlan:
         cluster=None,
         *,
         stores: Iterable[Any] = (),
-        fabrics: Iterable[Any] = (),
         links_hook: bool = False,
     ) -> "FaultPlan":
         """Install this plan's hooks on a cluster and/or explicit targets.
 
-        ``cluster`` arms its fabric, PFS store, and every node's GPU and
-        DRAM stores.  ``links_hook=True`` additionally installs the
+        ``cluster`` arms its PFS store and every node's GPU and DRAM
+        stores.  ``links_hook=True`` additionally installs the
         module-level hook in :mod:`repro.substrates.network.links`, so
         ``link.time:*`` rules can stall the timing laws themselves.
         """
         stores = list(stores)
-        fabrics = list(fabrics)
         if cluster is not None:
-            fabrics.append(cluster.fabric)
             stores.append(cluster.pfs)
             for node in cluster.nodes:
                 stores.extend((node.gpu, node.dram))
         for store in stores:
             store.faults = self
             self._armed_stores.append(store)
-        for fabric in fabrics:
-            fabric.faults = self
-            self._armed_fabrics.append(fabric)
         if links_hook:
             from repro.substrates.network import links
 
@@ -355,10 +347,6 @@ class FaultPlan:
             if getattr(store, "faults", None) is self:
                 store.faults = None
         self._armed_stores.clear()
-        for fabric in self._armed_fabrics:
-            if getattr(fabric, "faults", None) is self:
-                fabric.faults = None
-        self._armed_fabrics.clear()
         if self._links_hooked:
             from repro.substrates.network import links
 

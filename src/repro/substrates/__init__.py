@@ -10,7 +10,7 @@ library can run anywhere:
   node-local SSD, parallel file system) with bandwidth/latency models and a
   real byte store per tier.
 - :mod:`repro.substrates.network` — interconnect link models (NVLink, PCIe,
-  InfiniBand, PFS fabric) and mpi4py-style point-to-point channels.
+  InfiniBand, PFS fabric) and their transfer-time laws.
 - :mod:`repro.substrates.cluster` — compute nodes and two-node topologies.
 """
 

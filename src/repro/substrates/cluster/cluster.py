@@ -5,6 +5,10 @@ The evaluation deploys one producer and one consumer on separate nodes
 interconnect) and a host-to-host InfiniBand path, with Lustre as the shared
 parallel file system.  :func:`make_producer_consumer_pair` builds exactly
 that two-node topology from a hardware profile.
+
+The links are timing laws, not a transport: a checkpoint moves as a
+one-sided put into the consumer's tier store, priced by ``gpu_link`` or
+``host_link`` (:class:`~repro.core.transfer.handler.ModelWeightsHandler`).
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from typing import Dict, Tuple
 from repro.errors import ConfigurationError
 from repro.substrates.memory.storage import EvictionPolicy, TierStore
 from repro.substrates.memory.tiers import TierKind, TierSpec
-from repro.substrates.network.channels import Fabric
 from repro.substrates.network.links import LinkSpec
 from repro.substrates.cluster.node import ComputeNode
 
@@ -22,13 +25,12 @@ __all__ = ["Cluster", "make_producer_consumer_pair"]
 
 
 class Cluster:
-    """A set of compute nodes sharing a PFS and a message fabric.
+    """A set of compute nodes sharing a PFS and two interconnect planes.
 
-    The fabric carries two logical planes between each node pair, addressed
-    by endpoint name suffix:
+    Every node pair is joined on both planes:
 
-    - ``"<node>"``: the host plane (InfiniBand host-to-host).
-    - ``"<node>.gpu"``: the GPU plane (NVLink / GPUDirect RDMA).
+    - ``host_link``: the host plane (InfiniBand host-to-host).
+    - ``gpu_link``: the GPU plane (NVLink / GPUDirect RDMA).
     """
 
     def __init__(
@@ -42,7 +44,6 @@ class Cluster:
         if pfs_spec.kind is not TierKind.PFS:
             raise ConfigurationError("pfs_spec must be a PFS tier")
         self.pfs = TierStore(pfs_spec, eviction=eviction)
-        self.fabric = Fabric()
         self.gpu_link = gpu_link
         self.host_link = host_link
         self._nodes: Dict[str, ComputeNode] = {}
@@ -54,14 +55,6 @@ class Cluster:
     def add_node(self, node: ComputeNode) -> ComputeNode:
         if node.name in self._nodes:
             raise ConfigurationError(f"duplicate node name {node.name!r}")
-        # Create both planes' endpoints up front so sends never race
-        # endpoint creation.
-        self.fabric.endpoint(node.name)
-        self.fabric.endpoint(f"{node.name}.gpu")
-        # Wire this node to every existing node on both planes.
-        for other in self._nodes.values():
-            self.fabric.connect(node.name, other.name, self.host_link)
-            self.fabric.connect(f"{node.name}.gpu", f"{other.name}.gpu", self.gpu_link)
         self._nodes[node.name] = node
         return node
 
@@ -71,16 +64,6 @@ class Cluster:
         except KeyError:
             raise ConfigurationError(f"unknown node {name!r}") from None
 
-    def host_endpoint(self, name: str):
-        self.node(name)  # validate
-        return self.fabric.endpoint(name)
-
-    def gpu_endpoint(self, name: str):
-        self.node(name)  # validate
-        return self.fabric.endpoint(f"{name}.gpu")
-
-    def close(self) -> None:
-        self.fabric.close()
 
 
 def make_producer_consumer_pair(profile) -> Tuple[Cluster, ComputeNode, ComputeNode]:

@@ -22,7 +22,7 @@ class ComputeNode:
     """One node of the producer/consumer pair.
 
     Attributes:
-        name: node identifier used as the fabric endpoint address.
+        name: node identifier within its cluster.
         gpu: the GPU HBM tier store (checkpoint staging on-device).
         dram: the host DRAM tier store (host staging / flush buffer).
         pcie: GPU<->host copy link.

@@ -24,9 +24,10 @@ from repro.substrates.cost import Cost, GB
 __all__ = ["LinkKind", "LinkSpec", "install_fault_hook", "uninstall_fault_hook"]
 
 # Module-level fault hook.  LinkSpec is a frozen dataclass shared across
-# fabrics, so per-instance hooks are impossible; an armed FaultPlan
-# installs itself here instead and every timing-law evaluation consults
-# it.  ``None`` (the overwhelmingly common case) costs one global read.
+# clusters and profiles, so per-instance hooks are impossible; an armed
+# FaultPlan installs itself here instead and every timing-law evaluation
+# consults it.  ``None`` (the overwhelmingly common case) costs one
+# global read.
 _FAULT_HOOK = None
 
 

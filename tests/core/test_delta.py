@@ -126,6 +126,24 @@ class TestFrameCodec:
         assert stats.chunks_reused > 0
         assert stats.bytes_on_wire == len(frame) < stats.bytes_total
 
+    def test_frame_is_cut_along_the_chunk_bounds_grid(self):
+        # A serializer-shaped iovec: a short header, a tensor payload
+        # larger than one chunk (a float32 view, not bytes), an empty
+        # piece and a tail.
+        arr = np.arange(200, dtype=np.float32)  # 800 B: 3 full chunks + 32 B
+        pieces = [b"head", memoryview(arr), b"", b"tail"]
+        lengths = [memoryview(p).nbytes for p in pieces]
+        # The base shares every chunk but the payload's last.
+        base_arr = arr.copy()
+        base_arr[-1] = -1.0
+        base_blob = b"head" + base_arr.tobytes() + b"tail"
+        index = ChunkIndex(base_blob, CHUNK, [4, base_arr.nbytes, 4])
+        frame, stats = encode_frame(index, pieces, CHUNK)
+        assert stats.chunks_total == len(chunk_bounds(lengths, CHUNK))
+        assert stats.chunks_reused > 0
+        assert stats.chunks_reused == stats.chunks_total - 1
+        assert decode_frame(frame, base_blob) == b"".join(pieces)
+
     def test_zero_change_reuses_everything(self):
         ser = ViperSerializer()
         base = make_state(2)

@@ -120,14 +120,6 @@ class TestChunkAPI:
         state = sample_state()
         assert b"".join(serializer.dump_chunks(state)) == serializer.dumps(state)
 
-    def test_load_chunks_roundtrip(self, serializer):
-        state = sample_state()
-        blob = serializer.dumps(state)
-        pieces = [blob[:7], blob[7:100], memoryview(blob)[100:], b""]
-        back = serializer.load_chunks(pieces)
-        for key in state:
-            np.testing.assert_array_equal(back[key], state[key])
-
     def test_dump_chunks_are_views_not_copies(self, serializer):
         arr = RNG.standard_normal(64).astype(np.float32)
         state = {"t": arr}
@@ -190,14 +182,6 @@ class TestEdgeShapes:
 
 
 class TestDerivedCRC:
-    def test_blob_crc_equals_a_full_pass(self, serializer):
-        blob = serializer.dumps(sample_state())
-        assert serializer.blob_crc(blob) == zlib.crc32(blob)
-
-    def test_blob_crc_of_a_non_v2_blob_is_a_full_pass(self):
-        for blob in (b"", b"VIPR", b"\x89HDF" + bytes(20)):
-            assert ViperSerializer().blob_crc(blob) == zlib.crc32(blob)
-
     def test_carried_crc_loads_like_a_full_pass(self, serializer):
         state = sample_state()
         blob = serializer.dumps(state)

@@ -214,7 +214,6 @@ class TestDeterminism:
 class TestZeroOverheadWhenDisarmed:
     def test_no_hooks_installed_by_default(self):
         with Viper() as viper:
-            assert viper.handler.cluster.fabric.faults is None
             assert viper.handler.cluster.pfs.faults is None
             assert viper.handler.consumer.gpu.faults is None
 
@@ -225,4 +224,3 @@ class TestZeroOverheadWhenDisarmed:
         assert cluster.pfs.faults is plan
         viper.close()
         assert cluster.pfs.faults is None
-        assert cluster.fabric.faults is None

@@ -14,7 +14,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.resilience import FaultKind, FaultPlan, FaultRule
 from repro.substrates.memory.storage import TierStore
 from repro.substrates.network import links
-from repro.substrates.network.channels import Fabric
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +209,6 @@ class TestArming:
         with plan.arm(stores=[store]):
             stalled = store.put("k", b"data")
         assert stalled.total == pytest.approx(10.0 * baseline.total)
-
-    def test_fabric_hook_drops_sends(self, tiny_link):
-        fabric = Fabric(default_link=tiny_link)
-        src = fabric.endpoint("src")
-        dest = fabric.endpoint("dest")
-        plan = FaultPlan(
-            [FaultRule(site="link.send:src->dest", kind=FaultKind.DROP,
-                       probability=1.0)]
-        )
-        with plan.arm(fabrics=[fabric]):
-            with pytest.raises(FaultInjected):
-                src.send("dest", b"payload")
-        cost = src.send("dest", b"payload")
-        assert fabric.faults is None
-        assert dest.recv().payload == b"payload"
-        assert cost.total > 0
 
     def test_links_module_hook(self, tiny_link):
         plan = FaultPlan(

@@ -54,13 +54,6 @@ class TestChecksumFormat:
         with pytest.raises(IntegrityError):
             ser.loads(bytes(blob))
 
-    def test_load_chunks_verifies(self):
-        ser = ViperSerializer()
-        chunks = [bytes(c) for c in ser.dump_chunks(STATE)]
-        chunks[-1] = chunks[-1][:-1] + bytes([chunks[-1][-1] ^ 0x01])
-        with pytest.raises(IntegrityError):
-            ser.load_chunks(chunks)
-
     def test_v1_blob_loads_unverified(self):
         ser = ViperSerializer()
         blob = ser.dumps(STATE)

@@ -91,19 +91,11 @@ class TestCluster:
 
     def test_host_plane_uses_ib(self):
         cluster, _p, _c = make_producer_consumer_pair(POLARIS)
-        ep = cluster.host_endpoint("producer")
-        cost = ep.send("consumer", b"x" * 1_000_000)
-        assert cost.total == pytest.approx(
-            POLARIS.infiniband.transfer_time(1_000_000)
-        )
+        assert cluster.host_link is POLARIS.infiniband
 
     def test_gpu_plane_uses_nvlink(self):
         cluster, _p, _c = make_producer_consumer_pair(POLARIS)
-        ep = cluster.gpu_endpoint("producer")
-        cost = ep.send("consumer.gpu", b"x" * 1_000_000)
-        assert cost.total == pytest.approx(
-            POLARIS.nvlink.transfer_time(1_000_000)
-        )
+        assert cluster.gpu_link is POLARIS.nvlink
 
     def test_gpu_plane_faster_than_host_plane(self):
         cluster, _p, _c = make_producer_consumer_pair(POLARIS)

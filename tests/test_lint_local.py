@@ -11,12 +11,17 @@ findings on ``src/repro``:
   ``dict()`` / ``set()`` call);
 - a function or class defined twice in one scope (``@overload`` and
   property setters/deleters excepted);
+- a name some scope reads as a global that the module never binds and
+  that is not a builtin (a typo, a name only a comprehension or a class
+  body binds), found with :mod:`symtable`;
 - a module that no entry point imports (see :data:`ENTRY_POINTS`).
 
 ``make lint-local`` runs this plus ``python -m compileall -q src``.
 """
 
 import ast
+import builtins
+import symtable
 from pathlib import Path
 
 import pytest
@@ -25,6 +30,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 ALL_MODULES = sorted(SRC.rglob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 MUTABLE_CALLS = {"list", "dict", "set"}
+#: Names every module can read without binding them.
+BUILTIN_NAMES = set(dir(builtins)) | {"__file__", "__path__", "__builtins__"}
 
 #: What a deployment or a user runs, declared once: ``(module, name)``.
 #: ``python -m repro`` is ``repro.__main__``, which runs ``repro.cli``.
@@ -157,6 +164,37 @@ def duplicate_definitions(tree):
     return found
 
 
+def undefined_names(source: str, filename: str = "<string>"):
+    """``(line, scope, name)`` for every name a scope of the module reads
+    as a global that the module never binds and that is not a builtin.
+
+    A module binds a name at its top level, or in a nested scope that
+    declares it ``global``; a name a class body or a comprehension binds
+    is not a global, so a method or an outer scope reading it is flagged.
+    """
+    top = symtable.symtable(source, filename, "exec")
+    tables, todo = [], [top]
+    while todo:
+        table = todo.pop()
+        tables.append(table)
+        todo.extend(table.get_children())
+    bound = {
+        sym.get_name()
+        for table in tables
+        for sym in table.get_symbols()
+        if (table is top or sym.is_declared_global())
+        and (sym.is_assigned() or sym.is_imported())
+    }
+    return sorted(
+        (table.get_lineno(), table.get_name(), sym.get_name())
+        for table in tables
+        for sym in table.get_symbols()
+        if sym.is_referenced()
+        and sym.is_global()
+        and sym.get_name() not in bound | BUILTIN_NAMES
+    )
+
+
 def _module_paths(root: Path, package: str):
     """Dotted module name -> path, for every module under ``root/package``."""
     out = {}
@@ -282,6 +320,38 @@ def test_no_bare_except_mutable_default_or_duplicate_definition():
         if found:
             findings[str(path.relative_to(SRC))] = found
     assert findings == {}
+
+
+def test_no_undefined_names():
+    findings = {}
+    for path in ALL_MODULES:
+        found = undefined_names(path.read_text(), str(path))
+        if found:
+            findings[str(path.relative_to(SRC))] = found
+    assert findings == {}
+
+
+def test_gate_catches_an_undefined_name():
+    source = (
+        "import os\n"
+        "LIMIT = 3\n"
+        "def install():\n"
+        "    global HOOK\n"
+        "    HOOK = os.sep\n"
+        "def typo():\n"
+        "    return LIMT + len(HOOK) + LIMIT\n"
+        "def comprehension():\n"
+        "    return [y for x in range(LIMIT)]\n"
+        "class C:\n"
+        "    SCALE = 2\n"
+        "    def method(self):\n"
+        "        return SCALE * __name__\n"
+    )
+    # Names only: whether a comprehension is its own scope varies by
+    # Python version.
+    assert [name for _line, _scope, name in undefined_names(source)] == [
+        "LIMT", "y", "SCALE",
+    ]
 
 
 def test_gate_catches_an_unused_import(tmp_path):
