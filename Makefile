@@ -17,8 +17,9 @@ lint:
 
 # The stdlib-only part of the lint gate, runnable without ruff/mypy:
 # byte-compile every module and fail on unused imports, bare excepts,
-# mutable default arguments, duplicate definitions, undefined names and
-# modules no entry point imports.
+# mutable default arguments, duplicate definitions, undefined names,
+# modules no entry point imports, and threads or queues built outside the
+# one background worker class.
 lint-local:
 	python -m compileall -q src
 	PYTHONPATH=src python -m pytest -q tests/test_lint_local.py

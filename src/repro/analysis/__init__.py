@@ -1,11 +1,5 @@
-"""Result analysis: metrics and paper-style reporting."""
+"""Result analysis: paper-style reporting, latency harness, timelines, export."""
 
-from repro.analysis.metrics import (
-    LatencySummary,
-    cil_over_requests,
-    latency_summary,
-    speedup,
-)
 from repro.analysis.reporting import (
     format_fig8_table,
     format_fig9_table,
@@ -14,10 +8,6 @@ from repro.analysis.reporting import (
 )
 
 __all__ = [
-    "LatencySummary",
-    "cil_over_requests",
-    "latency_summary",
-    "speedup",
     "format_fig8_table",
     "format_fig9_table",
     "format_fig10_table",

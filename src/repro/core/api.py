@@ -105,9 +105,7 @@ class Viper:
         if recover and journal is None:
             raise ConfigurationError("recover=True requires a journal")
         self.journal = None
-        self.recovery = {
-            "replayed_ops": 0, "completed": 0, "requeued": 0, "pruned": 0,
-        }
+        self.recovery = {"replayed_ops": 0, "completed": 0, "pruned": 0}
         replayed = 0
         if journal is not None:
             from repro.resilience.recovery import MetadataJournal
@@ -160,7 +158,7 @@ class Viper:
             self.cluster.pfs.attach_media(self.journal.root / "pfs", load=recover)
         if recover:
             # Reconcile journaled-but-not-durable checkpoints (complete
-            # the flush CAS, requeue, or prune), then resume version
+            # the flush CAS or prune), then resume version
             # numbering above what survived.
             with self.tracer.span("recovery.reconcile", track="recovery") as sp:
                 counts = self.handler.recover_pending()
@@ -174,7 +172,7 @@ class Viper:
         if fault_plan is not None:
             fault_plan.bind_metrics(self.metrics).arm(self.cluster)
         # An armed crash plan (the crash-restart harness) installs its
-        # kill points across the handler, flusher, and tier stores.
+        # kill points across the handler and the tier stores.
         self.crash_plan = crash_plan
         if crash_plan is not None:
             crash_plan.arm(self)

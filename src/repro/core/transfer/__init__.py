@@ -7,9 +7,9 @@
   request (GPU-direct preferred, host RDMA fallback, PFS last).
 - :mod:`double_buffer` — the consumer-side double buffer with an atomic
   primary/alternate swap.
-- :mod:`flush` — the background thread flushing historical checkpoints
-  to the PFS for fault tolerance.
-- :mod:`engine` — the producer-side asynchronous capture/transfer worker.
+- :mod:`engine` — the one background worker class; the handler runs
+  one instance for asynchronous delivery and one flushing historical
+  checkpoints to the PFS for fault tolerance.
 - :mod:`pipeline` — the chunked-transfer knob, whose stage overlap is
   a simulated law and whose wall-clock effect is the zero-copy load,
   and the one-pass ``serialize_pipelined``.
@@ -39,7 +39,6 @@ from repro.core.transfer.strategies import (
 )
 from repro.core.transfer.selector import TransferSelector
 from repro.core.transfer.double_buffer import DoubleBuffer
-from repro.core.transfer.flush import BackgroundFlusher
 from repro.core.transfer.engine import AsyncTransferEngine
 from repro.core.transfer.handler import ModelWeightsHandler, UpdateResult, LoadResult
 
@@ -59,7 +58,6 @@ __all__ = [
     "is_delta_frame",
     "TransferSelector",
     "DoubleBuffer",
-    "BackgroundFlusher",
     "AsyncTransferEngine",
     "ModelWeightsHandler",
     "UpdateResult",

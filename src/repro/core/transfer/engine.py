@@ -1,12 +1,21 @@
-"""Asynchronous capture/transfer worker (paper §4.4, "Viper-ASync").
+"""The background worker (paper §4.4): Viper-ASync delivery and history flush.
 
 In async mode the producer's training loop only pays for the local
 snapshot copy; the wire movement, metadata publish, and notification run
-on this engine's worker thread.  The engine serializes jobs (one worker —
-checkpoints are totally ordered per producer, like the paper's
-single background stream), tracks the simulated background time, and
-surfaces worker exceptions to the caller on :meth:`drain` rather than
-swallowing them.
+on a worker thread.  The handler runs two instances of this one class:
+``viper-engine`` for deliveries and ``viper-flusher`` for the flush of
+historical checkpoints to the PFS, so a flush never queues behind a
+delivery.  Each instance serializes its jobs (one worker — checkpoints
+are totally ordered per producer, like the paper's single background
+stream), retries them under an optional
+:class:`~repro.resilience.retry.RetryPolicy`, tracks the simulated
+background time, and surfaces job exceptions to the caller on
+:meth:`~AsyncTransferEngine.drain` rather than swallowing them.
+
+A job that raises :class:`~repro.resilience.recovery.SimulatedCrash`
+kills the worker the way ``SIGKILL`` kills a process: the thread ends,
+the queued jobs never run, and every :meth:`~AsyncTransferEngine.drain`
+raises at once.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.errors import TransferError
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
+from repro.resilience.recovery import SimulatedCrash
 from repro.resilience.retry import execute_with_retry
 from repro.substrates.cost import Cost
 
@@ -42,7 +52,7 @@ class TransferJob:
 
 
 class AsyncTransferEngine:
-    """Single-worker background queue for model updates."""
+    """Single-worker background queue for model updates and flushes."""
 
     def __init__(
         self,
@@ -80,6 +90,7 @@ class AsyncTransferEngine:
         self._thread = threading.Thread(target=self._run, daemon=True, name=name)
         self._started = False
         self._stopping = False
+        self._dead = False
 
     def start(self) -> "AsyncTransferEngine":
         if not self._started:
@@ -101,10 +112,14 @@ class AsyncTransferEngine:
 
     def drain(self, timeout: float = 60.0, raise_on_error: bool = True) -> None:
         """Wait for all queued jobs; re-raise the first worker error."""
-        with self._queue.all_tasks_done:
-            while self._queue.unfinished_tasks:
-                if not self._queue.all_tasks_done.wait(timeout):
-                    raise TransferError(f"{self.name}: drain timed out")
+        settled = self._queue.all_tasks_done
+        with settled:
+            if not settled.wait_for(
+                lambda: self._dead or not self._queue.unfinished_tasks, timeout
+            ):
+                raise TransferError(f"{self.name}: drain timed out")
+        if self._dead:
+            raise TransferError(f"{self.name}: worker died; queue not drained")
         if raise_on_error:
             with self._lock:
                 failed = list(self._errors)
@@ -176,6 +191,13 @@ class AsyncTransferEngine:
                     self.metrics.counter(
                         "engine_wire_bytes_total", engine=self.name
                     ).inc(job.nbytes)
+            except SimulatedCrash:
+                # The chaos harness killed this "process"; die silently
+                # like SIGKILL would, and wake every waiting drain.
+                with self._queue.all_tasks_done:
+                    self._dead = True
+                    self._queue.all_tasks_done.notify_all()
+                return
             except BaseException as exc:  # noqa: BLE001 - surfaced on drain
                 job.error = exc
                 with self._lock:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import (
     Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union,
 )
@@ -65,7 +66,6 @@ from repro.core.transfer.delta import (
     is_delta_frame,
 )
 from repro.core.transfer.engine import AsyncTransferEngine, TransferJob
-from repro.core.transfer.flush import BackgroundFlusher, FlushJob
 from repro.core.transfer.pipeline import PipelineConfig, serialize_pipelined
 from repro.core.transfer.selector import TransferSelector
 from repro.core.transfer.strategies import (
@@ -206,20 +206,20 @@ class ModelWeightsHandler:
         # plans) keep retry/failover sequences reproducible across runs;
         # one stream per thread that draws, so interleaving cannot leak.
         self._retry_rng = random.Random(f"{default_seed()}/handler.retry")
-        self.engine = AsyncTransferEngine(
-            tracer=self.tracer,
-            metrics=self.metrics,
-            retry_policy=self.retry_policy,
-            retry_rng=random.Random(f"{default_seed()}/engine.retry"),
-        ).start()
-        self.flusher = BackgroundFlusher(
-            cluster.pfs,
-            self.metadata,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            lineage=self.lineage,
-            sim_now=lambda: self.sim_now,
-        ).start()
+        # Two instances of the one worker, so a history flush never
+        # queues behind a delivery (paper §4.4's two background streams).
+        self.engine, self.flusher = (
+            AsyncTransferEngine(
+                name,
+                tracer=self.tracer,
+                metrics=self.metrics,
+                retry_policy=self.retry_policy,
+                retry_rng=random.Random(f"{default_seed()}/{stream}.retry"),
+            ).start()
+            for name, stream in (
+                ("viper-engine", "engine"), ("viper-flusher", "flusher")
+            )
+        )
         self._clock_lock = threading.Lock()
         self._sim_now = 0.0
         self._versions: Dict[str, int] = {}
@@ -590,8 +590,9 @@ class ModelWeightsHandler:
                 self._crash("publish.notified")
                 if self.flush_history and final is not TransferStrategy.PFS:
                     self.flusher.submit(
-                        FlushJob(
-                            key=key, blob=blob_of(), record=rec, trace_ctx=header
+                        TransferJob(
+                            f"flush {key}",
+                            partial(self._flush, blob_of(), rec),
                         )
                     )
                 if backoff:
@@ -780,51 +781,67 @@ class ModelWeightsHandler:
     def recover_pending(self) -> Dict[str, int]:
         """Reconcile journaled-but-not-durable checkpoints after replay.
 
-        For every record with ``durable=False`` there are three cases:
+        For every record with ``durable=False`` there are two cases:
 
         - the blob already sits in the PFS (the crash hit between the
-          flusher's put and its metadata acknowledgement): *complete* the
+          flush's put and its metadata acknowledgement): *complete* the
           acknowledgement exactly once;
-        - the blob survives only in a volatile replica (the flush never
-          ran): *requeue* it on the background flusher;
-        - the blob is gone everywhere (volatile memory died with the
-          process): *prune* the record via a journaled drop, so consumers
-          can never be pointed at bytes that no longer exist.
+        - otherwise the blob died with the process (the volatile tiers
+          are built fresh; only the PFS reloads its media): *prune* the
+          record via a journaled drop, so consumers can never be pointed
+          at bytes that no longer exist.
         """
-        completed = requeued = pruned = 0
+        completed = pruned = 0
         for model_name in self.metadata.models():
             for version in self.metadata.versions(model_name):
                 rec, _ = self.metadata.record(model_name, version)
                 if rec.durable:
                     continue
                 if rec.path in self.cluster.pfs:
-                    self.metadata.compare_and_swap(
-                        replace(
-                            rec,
-                            durable=True,
-                            replicas=tuple(
-                                dict.fromkeys(rec.replicas + ("pfs",))
-                            ),
-                        )
-                    )
+                    self._mark_durable(rec)
                     completed += 1
-                    continue
-                blob = None
-                if self.flush_history:
-                    for location in rec.replicas:
-                        if location == "pfs":
-                            continue
-                        store = self._tier(location).store
-                        if rec.path in store:
-                            blob, _ = store.get(rec.path)
-                            break
-                if blob is not None:
-                    self.flusher.submit(FlushJob(key=rec.path, blob=blob, record=rec))
-                    requeued += 1
                 else:
                     self.metadata.drop_version(model_name, version)
                     pruned += 1
-        return {"completed": completed, "requeued": requeued, "pruned": pruned}
+        return {"completed": completed, "pruned": pruned}
+
+    # ------------------------------------------------------------------
+    # History flush (paper §4.4)
+    # ------------------------------------------------------------------
+    def _flush(self, blob: bytes, record: ModelRecord) -> Cost:
+        """Persist one published checkpoint to the PFS and mark it
+        durable; runs on the flusher worker under the retry policy."""
+        self._crash("flush.start")
+        cost = self.cluster.pfs.put(
+            record.path,
+            blob,
+            virtual_bytes=record.nbytes,
+            nobjects=record.ntensors,
+            version=record.version,
+        )
+        # Kill point: the blob is durable but the record still says
+        # durable=False; recovery completes the acknowledgement once.
+        self._crash("flush.staged")
+        current, _ = self.metadata.record(record.model_name, record.version)
+        cost = cost + self._mark_durable(current)
+        self.lineage.record_header(
+            record.trace_ctx,
+            "flush",
+            sim_time=self.sim_now,
+            actor="flusher",
+            sim_seconds=cost.total,
+        )
+        return cost
+
+    def _mark_durable(self, rec: ModelRecord) -> Cost:
+        """CAS ``rec`` to durable with the PFS in its replica set."""
+        return self.metadata.compare_and_swap(
+            replace(
+                rec,
+                durable=True,
+                replicas=tuple(dict.fromkeys(rec.replicas + ("pfs",))),
+            )
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -833,7 +850,9 @@ class ModelWeightsHandler:
         """Wait for async saves and flushes to settle, then apply the
         retention policy (if configured) to every model's history."""
         self.engine.drain(timeout)
-        self.flusher.drain(timeout)
+        # A flush that ran out of retries leaves its record non-durable
+        # and is listed in ``flusher.failures``; it does not fail drain.
+        self.flusher.drain(timeout, raise_on_error=False)
         if self.retention is not None:
             from repro.core.transfer.retention import collect_garbage
 

@@ -3,9 +3,9 @@
 Every checkpoint version gets a :class:`TraceContext` at capture — a
 trace id plus the producing span's id — which is then *carried*, not
 re-derived, through every actor that touches the version: stamped into
-the :class:`~repro.core.metadata.ModelRecord`, the broker
-:class:`~repro.core.notification.Notification`, the background
-:class:`~repro.core.transfer.flush.FlushJob`, and the pipelined
+the :class:`~repro.core.metadata.ModelRecord` (which the background
+history flush reads it from), the broker
+:class:`~repro.core.notification.Notification`, and the pipelined
 transfer's chunk spans.  Each actor appends a timestamped
 :class:`Transition` to the shared :class:`LifecycleLedger`, so one
 version's life::

@@ -2,7 +2,7 @@
 
 The paper's fault-tolerance story stops at flushing historical models to
 the PFS (§4.4); everything else — the metadata store's version history,
-the flusher's pending queue, every broker subscription — lives in process
+the flush worker's pending queue, every broker subscription — lives in process
 memory and dies with the process.  This module supplies the durable half
 of the recovery protocol:
 
@@ -29,7 +29,7 @@ of the recovery protocol:
   too — the process is dead, not just one call.
 
 The recovery protocol itself (replay -> restore version counters ->
-complete/requeue/prune non-durable checkpoints -> resubscribe with gap
+complete/prune non-durable checkpoints -> resubscribe with gap
 detection) is driven by :class:`repro.core.api.Viper` with
 ``journal=...``/``recover=True``; see docs/resilience.md.
 """
@@ -87,7 +87,7 @@ class CrashPoint:
 class CrashPlan:
     """One armed kill point plus dead-process semantics after it fires.
 
-    Thread-safe: the producer thread, the engine worker, and the flusher
+    Thread-safe: the producer thread and the engine and flusher workers
     may all reach armed sites concurrently.  The first matching arrival
     raises; every subsequent :meth:`reached` call from any thread also
     raises, so background threads of a "dead" deployment cannot keep
@@ -118,7 +118,6 @@ class CrashPlan:
     def arm(self, viper) -> "CrashPlan":
         """Install this plan's hooks on a deployment (chainable)."""
         viper.handler.crashpoints = self
-        viper.handler.flusher.crashpoints = self
         viper.cluster.pfs.crashpoints = self
         for node in viper.cluster.nodes:
             node.gpu.crashpoints = self

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import TransferError
 from repro.substrates.cost import Cost
 from repro.core.transfer.engine import AsyncTransferEngine, TransferJob
+from repro.resilience.recovery import SimulatedCrash
 
 
 class TestEngine:
@@ -82,6 +83,29 @@ class TestEngine:
         release.set()
         engine.drain()
         engine.stop()
+
+    def test_stop_before_start_is_noop(self):
+        AsyncTransferEngine().stop()
+
+    def test_simulated_crash_kills_the_worker(self):
+        engine = AsyncTransferEngine().start()
+        ran = []
+
+        def crash():
+            raise SimulatedCrash("flush.start")
+
+        engine.submit(TransferJob("dies", crash))
+        engine.submit(TransferJob("never", lambda: ran.append(1) or Cost.zero()))
+        t0 = time.monotonic()
+        with pytest.raises(TransferError, match="died"):
+            engine.drain(timeout=10)
+        assert time.monotonic() - t0 < 5
+        engine._thread.join(5)
+        assert engine._dead and not engine._thread.is_alive()
+        assert ran == [] and engine._queue.unfinished_tasks == 1
+        # A dead worker refuses every later drain at once.
+        with pytest.raises(TransferError, match="died"):
+            engine.drain(timeout=10)
 
     def test_stop_idempotent(self):
         engine = AsyncTransferEngine().start()

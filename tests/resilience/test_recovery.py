@@ -11,15 +11,16 @@ import threading
 
 import pytest
 
-from repro.errors import ConfigurationError, JournalError, StorageError
+from repro.errors import ConfigurationError, JournalError, TransferError
 from repro.core.metadata import MetadataStore, ModelRecord
-from repro.core.transfer.flush import BackgroundFlusher, FlushJob
+from repro.core.transfer.engine import AsyncTransferEngine, TransferJob
 from repro.resilience.recovery import (
     CrashPlan,
     CrashPoint,
     MetadataJournal,
     SimulatedCrash,
 )
+from repro.substrates.cost import Cost
 from repro.substrates.memory.storage import TierStore
 from repro.substrates.memory.tiers import TierKind, TierSpec
 
@@ -260,83 +261,41 @@ class TestCrashPlan:
 # Flusher shutdown semantics
 # ---------------------------------------------------------------------------
 
-def _make_pfs():
-    spec = TierSpec(
-        name="pfs",
-        kind=TierKind.PFS,
-        capacity_bytes=10**9,
-        read_bw=10**6,
-        write_bw=10**6,
-    )
-    return TierStore(spec)
-
-
-def _job(version):
-    rec = make_record(version=version, location="gpu")
-    return FlushJob(key=rec.path, blob=b"ckpt", record=rec)
-
-
 class TestFlusherShutdown:
     def test_stop_drains_by_default(self):
         """Regression: a clean stop() must never strand queued jobs."""
-        pfs, meta = _make_pfs(), MetadataStore()
         gate = threading.Event()
+        flushed = []
 
-        def hook(job, attempt):
-            gate.wait(5)
-            return False
+        def flush(version):
+            def run():
+                gate.wait(5)
+                flushed.append(version)
+                return Cost.zero()
+            return run
 
-        flusher = BackgroundFlusher(pfs, meta, fail_hook=hook).start()
+        flusher = AsyncTransferEngine("viper-flusher").start()
         for v in (1, 2, 3):
-            meta.publish_version(_job(v).record)
-            flusher.submit(_job(v))
+            flusher.submit(TransferJob(f"flush m/v{v}", flush(v)))
         stopper = threading.Thread(target=flusher.stop)
         stopper.start()
-        # stop() is blocked draining behind the gated first job.
+        # stop() is blocked behind the gated first job.
         stopper.join(0.1)
         assert stopper.is_alive()
         gate.set()
         stopper.join(10)
         assert not stopper.is_alive()
-        assert flusher.flushed_keys == ("m/v1", "m/v2", "m/v3")
-        assert flusher.stranded_keys == ()
-        for v in (1, 2, 3):
-            assert meta.record("m", v)[0].durable
-
-    def test_stop_without_drain_records_stranded(self):
-        pfs, meta = _make_pfs(), MetadataStore()
-        entered, gate = threading.Event(), threading.Event()
-
-        def hook(job, attempt):
-            entered.set()
-            gate.wait(5)
-            return False
-
-        flusher = BackgroundFlusher(pfs, meta, fail_hook=hook).start()
-        for v in (1, 2):
-            meta.publish_version(_job(v).record)
-            flusher.submit(_job(v))
-        # Job 1 must be in flight (inside the hook) before the abort, or
-        # both jobs could be abandoned.
-        assert entered.wait(5)
-        # stop() sets the abort flag before it joins the worker, so once
-        # its (bounded) join has given up the gate can open: job 2 is
-        # dequeued only after that and must see the flag.
-        flusher.stop(timeout=0.01, drain=False)
-        gate.set()
-        flusher._thread.join(10)
-        assert not flusher._thread.is_alive()
-        # Job 1 was already in flight and completes; job 2 is abandoned
-        # loudly: recorded stranded, its record still non-durable.
-        assert flusher.flushed_keys == ("m/v1",)
-        assert flusher.stranded_keys == ("m/v2",)
-        assert not meta.record("m", 2)[0].durable
+        assert flushed == [1, 2, 3]
+        assert flusher.completed == 3
 
     def test_submit_after_stop_raises(self):
-        flusher = BackgroundFlusher(_make_pfs(), MetadataStore()).start()
-        flusher.stop()
-        with pytest.raises(StorageError, match="stranded"):
-            flusher.submit(_job(1))
+        """A flush submitted after close() would never run: refused."""
+        from repro.core.api import Viper
+
+        viper = Viper(flush_history=True)
+        viper.close()
+        with pytest.raises(TransferError, match="stopped"):
+            viper.handler.flusher.submit(TransferJob("flush m/v1", Cost.zero))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +328,9 @@ class TestViperRecovery:
         try:
             assert reborn.metadata.versions("m") == [1, 2]
             assert reborn.recovery["replayed_ops"] > 0
-            assert reborn.recovery["requeued"] == 0
+            assert set(reborn.recovery) == {
+                "replayed_ops", "completed", "pruned",
+            }
             snap = reborn.handler.stats.snapshot()
             assert snap.recoveries == 1
             assert snap.replayed_ops == reborn.recovery["replayed_ops"]

@@ -1,9 +1,5 @@
-"""Metrics and reporting tests."""
+"""Reporting tests."""
 
-import pytest
-
-from repro.errors import WorkflowError
-from repro.analysis.metrics import cil_over_requests, latency_summary, speedup
 from repro.analysis.reporting import (
     PAPER_FIG8,
     PAPER_FIG10,
@@ -13,32 +9,6 @@ from repro.analysis.reporting import (
     format_fig10_table,
     format_table1,
 )
-
-
-class TestMetrics:
-    def test_latency_summary(self):
-        summary = latency_summary([1.0, 2.0, 3.0])
-        assert summary.mean == pytest.approx(2.0)
-        assert summary.minimum == 1.0 and summary.maximum == 3.0
-        assert summary.n == 3
-
-    def test_latency_summary_empty(self):
-        with pytest.raises(WorkflowError):
-            latency_summary([])
-
-    def test_speedup(self):
-        assert speedup(8.0, 1.0) == pytest.approx(8.0)
-        with pytest.raises(WorkflowError):
-            speedup(1.0, 0.0)
-
-    def test_cil_over_requests(self):
-        total, mean = cil_over_requests([1.0, 2.0, float("nan"), 3.0])
-        assert total == pytest.approx(6.0)
-        assert mean == pytest.approx(2.0)
-
-    def test_cil_all_nan(self):
-        with pytest.raises(WorkflowError):
-            cil_over_requests([float("nan")])
 
 
 class TestPaperConstants:

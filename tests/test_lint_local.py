@@ -14,7 +14,9 @@ findings on ``src/repro``:
 - a name some scope reads as a global that the module never binds and
   that is not a builtin (a typo, a name only a comprehension or a class
   body binds), found with :mod:`symtable`;
-- a module that no entry point imports (see :data:`ENTRY_POINTS`).
+- a module that no entry point imports (see :data:`ENTRY_POINTS`);
+- a ``threading.Thread(...)`` or ``queue.Queue(...)`` built outside the
+  one background worker class (see :data:`WORKER_ALLOWLIST`).
 
 ``make lint-local`` runs this plus ``python -m compileall -q src``.
 """
@@ -48,9 +50,6 @@ ENTRY_POINTS = (
 #: list may only shrink: wire a module in or delete it, and remove its
 #: line; never add one.
 UNREACHABLE_ALLOWLIST = {
-    # Figure-table helpers for tests and benchmarks: move into
-    # benchmarks/ or obs/report.py.
-    "repro.analysis.metrics",
     # Training-state capture: wire into continuous checkpointing, or
     # delete it with its example.
     "repro.dnn.checkpointing",
@@ -65,6 +64,19 @@ UNREACHABLE_ALLOWLIST = {
     # experiment runner drives the real path.
     "repro.workflow.live",
 }
+
+#: Where ``src/repro`` may build a ``threading.Thread`` or a
+#: ``queue.Queue``: the one background worker class, ...
+WORKER_MODULES = {"core/transfer/engine.py"}
+#: ... plus these, each with what would take it off.  This list may only
+#: shrink: never add a line.
+WORKER_ALLOWLIST = {
+    # The polling baseline's poller thread: goes with the ablation.
+    "serving/polling.py",
+    # The threaded live runner's producer thread: goes with the runner.
+    "workflow/live.py",
+}
+WORKER_PRIMITIVES = {("threading", "Thread"), ("queue", "Queue")}
 
 
 def _bound_names(node):
@@ -195,6 +207,33 @@ def undefined_names(source: str, filename: str = "<string>"):
     )
 
 
+def worker_constructions(tree):
+    """Lines that build a ``threading.Thread`` or a ``queue.Queue``, also
+    through an ``import ... as`` or a ``from ... import`` alias."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                names[alias.asname or alias.name] = (node.module, alias.name)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            target = (modules.get(func.value.id), func.attr)
+        elif isinstance(func, ast.Name):
+            target = names.get(func.id)
+        else:
+            continue
+        if target in WORKER_PRIMITIVES:
+            found.append(node.lineno)
+    return sorted(found)
+
+
 def _module_paths(root: Path, package: str):
     """Dotted module name -> path, for every module under ``root/package``."""
     out = {}
@@ -299,6 +338,30 @@ def test_gate_catches_an_orphan_module(tmp_path):
     for name, text in files.items():
         (pkg / name).write_text(text)
     assert unreachable_modules(tmp_path, "pkg", ["pkg.entry"]) == {"pkg.orphan"}
+
+
+def test_threads_and_queues_built_only_by_the_worker():
+    builders = {
+        str(path.relative_to(SRC))
+        for path in ALL_MODULES
+        if worker_constructions(ast.parse(path.read_text(), filename=str(path)))
+    }
+    # Equality: a new builder fails, and so does an allowlist line whose
+    # module no longer builds one.
+    assert builders == WORKER_MODULES | WORKER_ALLOWLIST
+
+
+def test_gate_catches_a_thread_or_queue_construction():
+    tree = ast.parse(
+        "import queue\n"
+        "import threading as th\n"
+        "from threading import Event, Thread as T\n"
+        "worker = th.Thread(target=print)\n"
+        "jobs = queue.Queue()\n"
+        "other = T()\n"
+        "fine = Event(), th.Lock(), queue.Empty\n"
+    )
+    assert worker_constructions(tree) == [4, 5, 6]
 
 
 def test_modules_found():
