@@ -12,15 +12,17 @@ Two questions, answered with real bytes and the simulated timing law:
    faster when 10% changed; within 5% of monolithic when 100% changed
    (the fallback must not regress the worst case).
 
-Wall-clock encode/decode throughput is reported (not gated) so a digest
-regression shows up in the JSON history: ``encode_mbps`` /
-``decode_mbps`` time the bare ``encode_frame`` / ``decode_frame`` calls,
-which know nothing about their inputs and hash every byte;
-``manager_encode_mbps`` / ``manager_decode_mbps`` time the third update
-of a chain through ``DeltaManager`` — the path ``Viper.save_weights`` /
-``load_weights`` take — where the producer serializes the live state
-itself (``encode_for_save(state)``: only the changed tensors are copied,
-CRC'd and hashed) and digests and CRCs computed or verified for the
+Wall-clock encode/decode throughput is reported (not gated) so a
+compare or CRC regression shows up in the JSON history:
+``encode_mbps`` / ``decode_mbps`` time the bare ``encode_frame`` /
+``decode_frame`` calls, which know nothing about their inputs and CRC
+every byte (``encode_frame`` runs a save's chunk compare over every
+piece); ``manager_encode_mbps`` / ``manager_decode_mbps`` time the
+third update of a chain through ``DeltaManager`` — the path
+``Viper.save_weights`` / ``load_weights`` take — where the producer
+serializes the live state itself
+(``encode_for_save(state)``: only the changed tensors are compared
+chunk by chunk, copied and CRC'd) and CRCs computed or verified for the
 previous version are carried instead of recomputed.
 
 Outputs ``benchmarks/results/BENCH_delta.json``.  ``VIPER_PERF_QUICK=1``
@@ -37,7 +39,6 @@ import pytest
 from repro import CaptureMode, TransferStrategy, Viper
 from repro.apps import get_app
 from repro.core.transfer.delta import (
-    ChunkIndex,
     DeltaConfig,
     DeltaManager,
     decode_frame,
@@ -82,11 +83,9 @@ def measure_wire(fraction: float) -> dict:
     base_state = build_state()
     new_state = mutate(base_state, fraction)
     base_blob = ser.dumps(base_state)
-    base_lengths = [memoryview(p).nbytes for p in ser.dump_chunks(base_state)]
-    index = ChunkIndex(base_blob, CHUNK_BYTES, base_lengths)
 
     t0 = time.perf_counter()
-    frame, stats = encode_frame(index, ser.dump_chunks(new_state), CHUNK_BYTES)
+    frame, stats = encode_frame(base_blob, ser.dump_chunks(new_state), CHUNK_BYTES)
     encode_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     out = decode_frame(frame, base_blob)

@@ -13,15 +13,14 @@
 - :mod:`pipeline` — the chunked-transfer knob, whose stage overlap is
   a simulated law and whose wall-clock effect is the zero-copy load,
   and the one-pass ``serialize_pipelined``.
-- :mod:`delta` — the delta wire path (chunk digests, recipe frames,
-  DeltaManager negotiation); the one mechanism that ships only what
-  changed.
+- :mod:`delta` — the delta wire path (positional reuse/literal recipe
+  frames checked by CRC-32, DeltaManager negotiation); the one mechanism
+  that ships only what changed.
 - :mod:`handler` — the Model Weights Handler facade processing
   save/load requests end to end.
 """
 
 from repro.core.transfer.delta import (
-    ChunkIndex,
     DeltaConfig,
     DeltaManager,
     DeltaStats,
@@ -49,7 +48,6 @@ __all__ = [
     "compute_timings",
     "pipelined_phase_cost",
     "PipelineConfig",
-    "ChunkIndex",
     "DeltaConfig",
     "DeltaManager",
     "DeltaStats",

@@ -365,7 +365,7 @@ class ModelWeightsHandler:
                 # hangs off the producing operation.
                 ctx = ctx.child(sp.span_id)
             # Delta encode before the timing law: the law's wire terms
-            # scale to what actually moves.  Digest CPU is a real
+            # scale to what actually moves.  Compare/CRC CPU is a real
             # (wall-clock) producer cost; the simulated law scales bytes.
             frame: Optional[bytes] = None
             dstats: Optional[DeltaStats] = None
@@ -374,16 +374,17 @@ class ModelWeightsHandler:
                 with self.tracer.span(
                     "handler.delta_encode", track="producer", version=ver
                 ) as dsp:
-                    # The manager serializes: it copies, CRCs and hashes
-                    # only the pieces that changed, and joins the blob only
-                    # when it ships whole (``blob_of``, on first use).
+                    # The manager serializes: it copies and CRCs only the
+                    # pieces that changed, and joins the blob only when it
+                    # ships whole (``blob_of``, on first use).
                     frame, dstats, saved = self.delta.encode_for_save(
                         model_name, ver, state
                     )
                     blob_of = saved.blob
                     if frame is None and had_base:
-                        # A base was negotiated but the recipe lost
-                        # (a fully-changed payload).
+                        # A base was negotiated but the recipe lost: the
+                        # piece grid moved, or the frame would not be
+                        # smaller than the blob.
                         self.stats.record_delta_fallback("encode")
                     dsp.set(
                         mode=dstats.mode,
@@ -707,10 +708,10 @@ class ModelWeightsHandler:
         """One fetch attempt: read, reconstruct (delta), deserialize.
 
         Returns ``(state, used_delta)``.  Verification is layered: a
-        delta frame's per-chunk digests and reconstruction CRC check
-        first, then the serializer's v2 checksum — a mismatch anywhere is
-        counted and re-raised so the retry executor re-requests the blob
-        instead of serving garbage.  A frame whose base the consumer no
+        delta frame's base identity, op bounds and reconstruction CRC-32
+        check first, then the serializer's v2 checksum — a mismatch
+        anywhere is counted and re-raised so the retry executor
+        re-requests the blob instead of serving garbage.  A frame whose base the consumer no
         longer holds degrades to the producer-retained monolithic blob
         (:class:`~repro.errors.DeltaBaseError` propagates only when that
         fallback is gone too, sending the load to the next replica).

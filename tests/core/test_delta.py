@@ -1,7 +1,6 @@
 """Delta wire path: chunk grid, frame encode/decode, manager negotiation."""
 
 import dataclasses
-import zlib
 
 import numpy as np
 import pytest
@@ -15,10 +14,9 @@ from repro.errors import (
 from repro.dnn.serialization import ViperSerializer
 from repro.core.transfer.delta import (
     _HEADER,
-    _LITERAL,
+    _OP,
     _OP_LITERAL,
-    _REUSE,
-    ChunkIndex,
+    _OP_REUSE,
     DeltaConfig,
     DeltaManager,
     DeltaStats,
@@ -41,17 +39,9 @@ def make_state(seed, n=4, shape=(32, 16)):
     }
 
 
-def pieces_and_lengths(serializer, state):
-    pieces = list(serializer.dump_chunks(state))
-    return pieces, [memoryview(p).nbytes for p in pieces]
-
-
 def encode_against(serializer, base_state, new_state, chunk=CHUNK):
     base_blob = serializer.dumps(base_state)
-    _, base_lengths = pieces_and_lengths(serializer, base_state)
-    index = ChunkIndex(base_blob, chunk, base_lengths)
-    pieces, _ = pieces_and_lengths(serializer, new_state)
-    frame, stats = encode_frame(index, pieces, chunk)
+    frame, stats = encode_frame(base_blob, serializer.dump_chunks(new_state), chunk)
     return base_blob, frame, stats
 
 
@@ -59,11 +49,10 @@ def literal_ops(frame):
     """Position of every literal op in ``frame``, in order."""
     pos = _HEADER.size
     for _ in range(frame_info(frame)["nops"]):
-        if frame[pos] == _OP_LITERAL:
+        tag, size = _OP.unpack_from(frame, pos)
+        if tag == _OP_LITERAL:
             yield pos
-            pos += _LITERAL.size + _LITERAL.unpack_from(frame, pos)[3]
-        else:
-            pos += _REUSE.size
+        pos += _OP.size + (size if tag == _OP_LITERAL else 0)
 
 
 def rewritten(seed, n=4, shape=(32, 16)):
@@ -86,31 +75,6 @@ class TestChunkBounds:
 
     def test_exact_multiple(self):
         assert chunk_bounds([8], 4) == [(0, 4), (4, 4)]
-
-
-class TestChunkIndex:
-    def test_lookup_finds_every_chunk(self):
-        blob = bytes(range(256)) * 5
-        index = ChunkIndex(blob, 100)
-        import hashlib
-
-        for offset, length in chunk_bounds([len(blob)], 100):
-            d = hashlib.blake2b(
-                blob[offset : offset + length], digest_size=16
-            ).digest()
-            hit = index.lookup(d)
-            assert hit is not None
-            start, size = hit
-            assert blob[start : start + size] == blob[offset : offset + length]
-
-    def test_duplicate_chunks_dedup_to_one_entry(self):
-        blob = b"\x00" * 1024
-        index = ChunkIndex(blob, 256)
-        assert len(index) == 1  # four zero chunks, one digest
-
-    def test_crc_matches_zlib(self):
-        blob = b"hello delta"
-        assert ChunkIndex(blob, 4).crc == zlib.crc32(blob)
 
 
 class TestFrameCodec:
@@ -137,8 +101,7 @@ class TestFrameCodec:
         base_arr = arr.copy()
         base_arr[-1] = -1.0
         base_blob = b"head" + base_arr.tobytes() + b"tail"
-        index = ChunkIndex(base_blob, CHUNK, [4, base_arr.nbytes, 4])
-        frame, stats = encode_frame(index, pieces, CHUNK)
+        frame, stats = encode_frame(base_blob, pieces, CHUNK)
         assert stats.chunks_total == len(chunk_bounds(lengths, CHUNK))
         assert stats.chunks_reused > 0
         assert stats.chunks_reused == stats.chunks_total - 1
@@ -149,41 +112,49 @@ class TestFrameCodec:
         base = make_state(2)
         base_blob, frame, stats = encode_against(ser, base, base)
         assert stats.chunks_reused == stats.chunks_total
-        assert stats.bytes_saved_dedup == stats.bytes_total
+        assert stats.bytes_reused == stats.bytes_total
         assert decode_frame(frame, base_blob) == base_blob
 
-    def test_literals_ship_raw_with_reserved_codec_byte(self):
-        # v3 literals carry no codec: the op's codec byte is always 0 and
-        # its payload is the chunk itself, so the frame is exactly the
-        # literal bytes plus the header and per-op overhead.
+    def test_literals_ship_raw(self):
+        # A v4 op is a tag and a length, nothing else: the frame is
+        # exactly the header, 9 B per op and the literal bytes themselves.
         base_blob, frame, stats, new = rewritten(4, n=2)
         nlit = 0
         for pos in literal_ops(frame):
-            _tag, codec_id, orig_len, enc_len, _d = _LITERAL.unpack_from(frame, pos)
-            assert codec_id == 0 and enc_len == orig_len
+            tag, size = _OP.unpack_from(frame, pos)
+            chunk = frame[pos + _OP.size : pos + _OP.size + size]
+            assert tag == _OP_LITERAL and chunk in ViperSerializer().dumps(new)
             nlit += 1
         assert nlit == stats.chunks_total - stats.chunks_reused > 0
+        assert _OP.size == 9
         assert len(frame) == (
-            _HEADER.size + nlit * _LITERAL.size
-            + stats.chunks_reused * _REUSE.size
+            _HEADER.size + stats.chunks_total * _OP.size
             + stats.bytes_total - stats.bytes_reused
         )
         assert decode_frame(frame, base_blob) == ViperSerializer().dumps(new)
 
-    @pytest.mark.parametrize(
-        "field, value", [(1, 1), (3, 0)], ids=["codec_byte", "enc_len"]
-    )
-    def test_literal_op_must_ship_raw(self, field, value):
-        # A nonzero codec byte, or an encoded length that is not the
-        # chunk length, is a corrupt frame, not a codec to look up.
-        base_blob, frame, _, _ = rewritten(15)
-        pos = next(literal_ops(frame))
-        op = list(_LITERAL.unpack_from(frame, pos))
-        op[field] = value
-        bad = bytearray(frame)
-        _LITERAL.pack_into(bad, pos, *op)
-        with pytest.raises(IntegrityError, match="codec|ship raw"):
-            decode_frame(bytes(bad), base_blob)
+    def test_reuse_is_positional(self):
+        # A chunk equal to base bytes at another offset is a literal: the
+        # frame never addresses the base by content.
+        base_blob = b"A" * CHUNK + b"B" * CHUNK
+        frame, stats = encode_frame(base_blob, [b"B" * CHUNK, b"B" * CHUNK], CHUNK)
+        assert (stats.chunks_total, stats.chunks_reused) == (2, 1)
+        first = _HEADER.size
+        second = first + _OP.size + CHUNK
+        assert _OP.unpack_from(frame, first) == (_OP_LITERAL, CHUNK)
+        assert _OP.unpack_from(frame, second) == (_OP_REUSE, CHUNK)
+        assert len(frame) == second + _OP.size
+        assert decode_frame(frame, base_blob) == b"B" * 2 * CHUNK
+
+    def test_bytes_after_the_last_op_are_rejected(self):
+        # Regression: a frame with bytes past its last op used to decode
+        # to the right blob, the trailing bytes silently ignored.
+        base_blob, frame, _, new = rewritten(15)
+        assert decode_frame(frame, base_blob) == ViperSerializer().dumps(new)
+        with pytest.raises(IntegrityError, match="follow the last"):
+            decode_frame(frame + b"GARBAGE" * 100, base_blob)
+        with pytest.raises(IntegrityError, match="follow the last"):
+            decode_frame(frame + b"\x00", base_blob)
 
     def test_frame_info_rejects_bad_magic(self):
         with pytest.raises(StorageError):
@@ -203,6 +174,16 @@ class TestFrameCodec:
             frame_info(bytes(bad))
         with pytest.raises(IntegrityError):
             frame_info(frame[: _HEADER.size - 1])
+
+    def test_v3_frame_is_rejected(self):
+        # Frames never reach the PFS or the journal: a v3 frame is not
+        # migrated, it is an unsupported version like any other.
+        ser = ViperSerializer()
+        base_blob, frame, _ = encode_against(ser, make_state(5), make_state(5))
+        v3 = bytearray(frame)
+        v3[4:8] = (3).to_bytes(4, "little")
+        with pytest.raises(IntegrityError, match="version 3"):
+            decode_frame(bytes(v3), base_blob)
 
     def test_v2_blob_is_not_a_frame(self):
         ser = ViperSerializer()
@@ -225,7 +206,7 @@ class TestFrameCodec:
     def test_corrupt_literal_raises_integrity_error(self):
         base_blob, frame, _, _ = rewritten(10)
         bad = bytearray(frame)
-        bad[next(literal_ops(frame)) + _LITERAL.size] ^= 0xFF  # payload byte
+        bad[next(literal_ops(frame)) + _OP.size] ^= 0xFF  # payload byte
         with pytest.raises(IntegrityError):
             decode_frame(bytes(bad), base_blob)
 
@@ -279,7 +260,6 @@ class TestDeltaStats:
             mode="delta", bytes_total=100, bytes_on_wire=25,
             bytes_reused=80, chunks_total=10, chunks_reused=8,
         )
-        assert stats.bytes_saved_dedup == 80
         assert stats.dedup_hit_ratio == 0.8
         assert stats.wire_fraction == 0.25
 
@@ -325,7 +305,25 @@ class TestDeltaManager:
         assert len(frame) < len(b2)
         assert mgr.decode_for_load("m", frame) == b2
 
+    def test_save_frame_equals_the_bare_encoder(self):
+        # One positional compare: the frame a save ships is the frame
+        # encode_frame cuts from the same base and state.
+        ser = ViperSerializer()
+        mgr = self._manager()
+        v1 = make_state(26)
+        b1 = ser.dumps(v1)
+        mgr.encode_for_save("m", 1, v1)
+        mgr.register_loaded("m", 1, b1)
+        v2 = {k: v.copy() for k, v in v1.items()}
+        v2["t1"][:2] += 1.0  # only the head chunk of t1 changes
+        v2["t3"] = v2["t3"] * 2.0
+        frame, stats, _ = mgr.encode_for_save("m", 2, v2)
+        bare, bare_stats = encode_frame(b1, ser.dump_chunks(v2), CHUNK)
+        assert frame == bare and stats == bare_stats
+        assert 0 < stats.chunks_reused < stats.chunks_total
+
     def test_full_change_early_out(self):
+        # The frame would not be smaller than the blob: shipped whole.
         ser = ViperSerializer()
         mgr = self._manager()
         v1 = make_state(23)
@@ -438,13 +436,12 @@ class TestDeltaProperties:
     @given(seed=st.integers(0, 2**16), burn=st.integers(0, 2**20))
     @settings(max_examples=30, deadline=None)
     def test_corrupt_literal_never_reconstructs(self, seed, burn):
-        # Flip any byte of the first literal's payload: the per-chunk
-        # digest must catch it — corrupt bytes never come back as a
-        # valid blob.
+        # Flip any byte of the first literal's payload: the out-CRC must
+        # catch it — corrupt bytes never come back as a valid blob.
         base_blob, frame, _, _ = rewritten(seed, n=2, shape=(8, 8))
         pos = next(literal_ops(frame))
-        enc_len = _LITERAL.unpack_from(frame, pos)[3]
+        size = _OP.unpack_from(frame, pos)[1]
         bad = bytearray(frame)
-        bad[pos + _LITERAL.size + (burn % enc_len)] ^= 0xA5
+        bad[pos + _OP.size + (burn % size)] ^= 0xA5
         with pytest.raises(IntegrityError):
             decode_frame(bytes(bad), base_blob)

@@ -1,14 +1,15 @@
-"""The delta path's carried digests and CRCs: what is skipped, and that
-nothing carried can outlive the bytes it was computed over.
+"""The delta path's carried CRCs: what is skipped, and that nothing
+carried can outlive the bytes it was computed over.
 
 ``tests/core/test_delta.py`` pins the wire format and the bare
 ``encode_frame``/``decode_frame`` checks; this file covers the state the
 :class:`DeltaManager` keeps between calls — the producer's retained
-serializer pieces (shared with the base where unchanged, with their CRCs
-and digests) and lazily built chunk index, and the consumer-held base's
-memoised CRC and verified-digest table.
+serializer pieces (shared with the base where unchanged, with their
+CRCs) and the consumer-held base's memoised CRC.  CRC-32 is the one
+checksum: no step calls BLAKE2b.
 """
 
+import hashlib
 import tracemalloc
 import zlib
 from types import SimpleNamespace
@@ -20,13 +21,11 @@ from repro import CaptureMode, TransferStrategy, Viper
 from repro.core.transfer import delta as delta_mod
 from repro.core.transfer.delta import (
     _HEADER,
-    _LITERAL,
+    _OP,
+    _OP_LITERAL,
     _OP_REUSE,
-    _REUSE,
     DeltaConfig,
     DeltaManager,
-    _HeldBase,
-    _reconstruct,
     frame_info,
     is_delta_frame,
 )
@@ -64,28 +63,24 @@ def chunks_of(state, *names):
 
 
 def ops(frame):
-    """(tag, position, payload length) of every op in ``frame``."""
+    """(tag, position, length) of every op in ``frame``."""
     pos = _HEADER.size
     for _ in range(frame_info(frame)["nops"]):
-        if frame[pos] == _OP_REUSE:
-            yield _OP_REUSE, pos, 0
-            pos += _REUSE.size
-        else:
-            enc_len = _LITERAL.unpack_from(frame, pos)[3]
-            yield frame[pos], pos, enc_len
-            pos += _LITERAL.size + enc_len
+        tag, size = _OP.unpack_from(frame, pos)
+        yield tag, pos, size
+        pos += _OP.size + (size if tag == _OP_LITERAL else 0)
 
 
 @pytest.fixture
 def hashed(monkeypatch):
-    """Counts the chunks digested inside delta.py and the bytes CRC'd
-    inside delta.py and dnn/serialization.py together."""
-    seen = {"digests": 0, "crc_bytes": 0}
-    real_digest = delta_mod._digest
+    """Counts the bytes CRC'd inside delta.py and dnn/serialization.py
+    together, and every BLAKE2b hasher built anywhere."""
+    seen = {"crc_bytes": 0, "blake2b": 0}
+    real_blake2b = hashlib.blake2b
 
-    def digest(chunk):
-        seen["digests"] += 1
-        return real_digest(chunk)
+    def blake2b(*args, **kwargs):
+        seen["blake2b"] += 1
+        return real_blake2b(*args, **kwargs)
 
     class CountingZlib:
         @staticmethod
@@ -93,7 +88,7 @@ def hashed(monkeypatch):
             seen["crc_bytes"] += len(data)
             return zlib.crc32(data, value)
 
-    monkeypatch.setattr(delta_mod, "_digest", digest)
+    monkeypatch.setattr(hashlib, "blake2b", blake2b)
     monkeypatch.setattr(delta_mod, "zlib", CountingZlib)
     monkeypatch.setattr(ser_mod, "zlib", CountingZlib)
     return seen
@@ -120,26 +115,19 @@ class TestProducerCarry:
         v1 = make_state(1)
         v2 = touch(v1, "t1")
         v3 = touch(v2, "t4", "t5")
-        total = len(list(delta_mod.chunk_bounds(
-            [memoryview(p).nbytes for p in SER.dump_chunks(v1)], CHUNK
-        )))
         for version, state in ((1, v1), (2, v2)):
             blob = SER.dumps(state)
             mgr.encode_for_save("m", version, state)
             mgr.register_loaded("m", version, blob)
-        # v1 shipped whole and unhashed; v2 built v1's index (every chunk)
-        # and hashed its own changed pieces: t1's payload + the v2 header.
-        assert hashed["digests"] == total + chunks_of(v2, "t1") + 1
-        hashed["digests"] = hashed["crc_bytes"] = 0
+        hashed["crc_bytes"] = 0
         frame, stats, _ = mgr.encode_for_save("m", 3, v3)
         assert frame is not None and stats.chunks_reused > 0
-        # v2's digests were kept from its own encode: only v3's changes.
-        assert hashed["digests"] == chunks_of(v3, "t4", "t5") + 1
         # Unchanged pieces carry their CRCs; the header's payload CRC and
         # the out-CRC are combined from them: only the changed payloads
         # and the header itself are read.
         changed = v3["t4"].nbytes + v3["t5"].nbytes
         assert hashed["crc_bytes"] == changed + V2_HEADER
+        assert hashed["blake2b"] == 0
         assert frame_info(frame)["out_crc"] == zlib.crc32(SER.dumps(v3))
 
     def test_full_change_early_out_hashes_nothing_until_diffed(self, hashed):
@@ -151,16 +139,17 @@ class TestProducerCarry:
             assert frame is None
             mgr.register_loaded("m", version, saved.blob())
         # v1 is CRC'd whole; v2 CRCs its changed payloads and the header
-        # (the unchanged tensor headers carry their CRCs); nothing is
-        # digested.
-        assert hashed["digests"] == 0
+        # (the unchanged tensor headers carry their CRCs).
         v2_payloads = sum(a.nbytes for a in v2.values())
         assert hashed["crc_bytes"] == len(SER.dumps(v1)) + v2_payloads + V2_HEADER
-        assert mgr._produced["m"][2].index is None
+        # Diffing against v2, which shipped whole, reads none of its bytes
+        # but those the piece compare touches: no index pass over the base.
         v3 = touch(v2, "t0")
+        hashed["crc_bytes"] = 0
         frame, _, _ = mgr.encode_for_save("m", 3, v3)
         assert frame is not None
-        assert mgr._produced["m"][2].index is not None  # built on demand
+        assert hashed["crc_bytes"] == v3["t0"].nbytes + V2_HEADER
+        assert hashed["blake2b"] == 0
         assert mgr.decode_for_load("m", frame) == SER.dumps(v3)
 
     def test_disabled_manager_touches_nothing(self):
@@ -235,7 +224,7 @@ def sparse(hashed):
             viper.save_weights("m", state, **SYNC_HOST)
             viper.load_weights("m")
         v2 = touch(v1, "t4")
-        hashed["digests"] = hashed["crc_bytes"] = 0
+        hashed["crc_bytes"] = 0
         res = viper.save_weights("m", v2, **SYNC_HOST)
         produced = viper.handler.delta._produced["m"]
         yield SimpleNamespace(
@@ -252,7 +241,7 @@ class TestTensorKeyedSave:
         assert sparse.res.record.wire_bytes < sparse.res.record.nbytes
         changed = sparse.v2["t4"].nbytes
         assert sparse.counts["crc_bytes"] == changed + V2_HEADER
-        assert sparse.counts["digests"] == chunks_of(sparse.v2, "t4") + 1
+        assert sparse.counts["blake2b"] == 0
         # Copied: the pieces this entry does not share with its base.
         shared = {id(p) for p in sparse.base.pieces}
         copied = [p for p in sparse.entry.pieces if id(p) not in shared]
@@ -271,7 +260,7 @@ class TestTensorKeyedSave:
             assert sparse.entry.pieces[payload - 1] is sparse.base.pieces[payload - 1]
 
     def test_no_full_size_copy_is_allocated(self):
-        with Viper(delta=True) as viper:  # 64 KB digest chunks
+        with Viper(delta=True) as viper:  # 64 KB chunks
             v1 = make_state(15, size=64_000)  # 6 x 256 KB
             v2 = touch(v1, "t1")
             for state in (v1, v2):
@@ -308,7 +297,7 @@ class TestTensorKeyedSave:
     def test_same_name_and_shape_new_bytes_ship_as_a_literal(self, sparse):
         viper = sparse.viper
         staged, _ = viper.consumer_node.dram.get(sparse.res.record.path)
-        literal = sum(n for tag, _, n in ops(staged) if tag != _OP_REUSE)
+        literal = sum(n for tag, _, n in ops(staged) if tag == _OP_LITERAL)
         # Every byte of t4 and of the v2 header rides as a literal.
         assert literal == sparse.v2["t4"].nbytes + V2_HEADER
         assert SER.dumps(viper.load_weights("m").state) == SER.dumps(sparse.v2)
@@ -320,23 +309,22 @@ class TestTensorKeyedSave:
 
 
 class TestConsumerMemo:
-    def test_warm_decode_hashes_only_literals(self, hashed):
+    def test_warm_decode_crcs_only_the_reconstruction(self, hashed):
         mgr = manager()
         v1 = make_state(4)
         v2 = touch(v1, "t2")
         v3 = touch(v2, "t3")
         (_, f2), _ = chain(mgr, v1, v2)
-        literals2 = sum(1 for tag, _, _ in ops(f2) if tag != _OP_REUSE)
         blob3 = SER.dumps(v3)
         f3, _, _ = mgr.encode_for_save("m", 3, v3)
-        hashed["digests"] = hashed["crc_bytes"] = 0
+        hashed["crc_bytes"] = 0
         assert mgr.decode_for_load("m", f3) == blob3
-        literals3 = sum(1 for tag, _, _ in ops(f3) if tag != _OP_REUSE)
         # The base was reconstructed here: its CRC is the out-CRC checked
-        # then, its chunk digests are all on record.
-        assert hashed["digests"] == literals3
+        # then, so no base byte is read again, reused or not.
         assert hashed["crc_bytes"] == len(blob3)
-        assert literals2 > 0 and literals3 < frame_info(f3)["nops"]
+        assert hashed["blake2b"] == 0
+        literals3 = sum(1 for tag, _, _ in ops(f3) if tag == _OP_LITERAL)
+        assert f2 is not None and 0 < literals3 < frame_info(f3)["nops"]
 
     def test_warm_decode_and_load_crc_every_byte_once(self, hashed):
         mgr = manager()
@@ -365,39 +353,18 @@ class TestConsumerMemo:
         mgr.encode_for_save("m", 1, v1)
         mgr.register_loaded("m", 1, blob1)  # loaded whole: nothing known
         held = mgr._held_blob["m"]
-        assert held.crc is None and held.digests == {}
+        assert held.crc is None
         v2 = touch(v1, "t0")
         blob2 = SER.dumps(v2)
         f2, _, _ = mgr.encode_for_save("m", 2, v2)
-        reuse = sum(1 for tag, _, _ in ops(f2) if tag == _OP_REUSE)
-        hashed["digests"] = hashed["crc_bytes"] = 0
+        hashed["crc_bytes"] = 0
         mgr.decode_for_load("m", f2)
-        assert hashed["digests"] == frame_info(f2)["nops"]  # every op
         assert hashed["crc_bytes"] == len(blob1) + len(blob2)
-        assert held.crc == zlib.crc32(blob1) and len(held.digests) == reuse
-        hashed["digests"] = hashed["crc_bytes"] = 0
+        assert held.crc == zlib.crc32(blob1)
+        hashed["crc_bytes"] = 0
         mgr.decode_for_load("m", f2)  # e.g. a retried load
-        assert hashed["digests"] == frame_info(f2)["nops"] - reuse
         assert hashed["crc_bytes"] == len(blob2)
-
-    def test_unlisted_range_is_hashed_not_trusted(self):
-        base = bytes(range(256)) * 2
-        d_whole = delta_mod._digest(base[:256])
-        # The table knows (0, 256); the op claims the same digest for
-        # (0, 128), a range nobody verified.
-        held = _HeldBase(base, zlib.crc32(base), {(0, 256): d_whole})
-        out = base[:128]
-        frame = _HEADER.pack(
-            b"VPRD", 3, len(base), held.crc, len(out), zlib.crc32(out), 1
-        ) + _REUSE.pack(_OP_REUSE, 0, 128, d_whole)
-        with pytest.raises(IntegrityError, match="reused chunk digest"):
-            _reconstruct(frame, held)
-        assert held.digests == {(0, 256): d_whole}
-        good = frame[: -_REUSE.size] + _REUSE.pack(
-            _OP_REUSE, 0, 128, delta_mod._digest(out)
-        )
-        assert _reconstruct(good, held).blob == out
-        assert held.digests[(0, 128)] == delta_mod._digest(out)  # now listed
+        assert hashed["blake2b"] == 0
 
 
 class TestFailedDecodeLeavesNoTrace:
@@ -415,24 +382,46 @@ class TestFailedDecodeLeavesNoTrace:
         return mgr, frame, blob, held
 
     @pytest.mark.parametrize("warm", [True, False])
-    @pytest.mark.parametrize("target", ["literal", "reuse digest"])
+    @pytest.mark.parametrize(
+        "target", ["literal", "reuse as wrong literal", "reused base run"]
+    )
     def test_corrupt_frame_raises_and_changes_nothing(self, warm, target):
         mgr, frame, blob, held = self._held_with_frame(warm)
-        before = (held.blob, held.crc, dict(held.digests))
-        bad = bytearray(frame)
-        for tag, pos, enc_len in ops(frame):
-            if target == "literal" and tag != _OP_REUSE and enc_len:
-                bad[pos + _LITERAL.size + enc_len // 2] ^= 0x01
+        base = held.blob
+        bad, write = frame, 0
+        for tag, pos, size in ops(frame):
+            if target == "literal" and tag == _OP_LITERAL:
+                flipped = bytearray(frame)
+                flipped[pos + _OP.size + size // 2] ^= 0x01
+                bad = bytes(flipped)
                 break
-            if target == "reuse digest" and tag == _OP_REUSE:
-                bad[pos + _REUSE.size - 1] ^= 0x01
+            if target == "reuse as wrong literal" and tag == _OP_REUSE:
+                # The op now ships bytes that are not the base's.
+                wrong = bytes(b ^ 0x01 for b in base[write : write + size])
+                op = _OP.pack(_OP_LITERAL, size) + wrong
+                bad = frame[:pos] + op + frame[pos + _OP.size :]
                 break
-        assert bytes(bad) != frame
-        with pytest.raises(IntegrityError):
-            mgr.decode_for_load("m", bytes(bad))
-        assert (held.blob, held.crc, held.digests) == before
-        assert mgr._held_blob["m"] is held
+            if target == "reused base run" and tag == _OP_REUSE:
+                # The held bytes change under their recorded CRC.
+                flipped = bytearray(base)
+                flipped[write + size // 2] ^= 0x01
+                held.blob = bytes(flipped)
+                break
+            write += size
+        assert (bad, held.blob) != (frame, base)
+        before = (held.blob, held.crc)
+        if target == "reused base run" and not warm:
+            # A cold base is CRC'd before any op runs: changed bytes are
+            # a mismatched base (fall back), not a corrupt frame.
+            expected = pytest.raises(DeltaBaseError)
+        else:
+            expected = pytest.raises(IntegrityError, match="blob CRC mismatch")
+        with expected:
+            mgr.decode_for_load("m", bad)
+        assert (held.blob, held.crc) == before
+        assert mgr._held_blob["m"] is held and "m" not in mgr._decoded
         # A failed decode cannot poison the next one.
+        held.blob = base
         assert mgr.decode_for_load("m", frame) == blob
 
     def test_out_crc_mismatch_commits_nothing(self):
@@ -441,8 +430,8 @@ class TestFailedDecodeLeavesNoTrace:
         bad[_HEADER.size - 8] ^= 0x01  # the header's out_crc field
         with pytest.raises(IntegrityError, match="CRC mismatch"):
             mgr.decode_for_load("m", bytes(bad))
-        # Every reuse range did hash correctly, yet none is on record.
-        assert held.crc is None and held.digests == {}
+        # The base's CRC was computed and matched, yet it is not on record.
+        assert held.crc is None
         assert "m" not in mgr._decoded
 
 
@@ -454,12 +443,11 @@ class TestHeldBaseLifetime:
         _, (blob1, blob2) = chain(mgr, v1, v2)
         held = mgr._held_blob["m"]
         assert held.blob == blob2 and held.crc == zlib.crc32(blob2)
-        assert sum(n for _, n in held.digests) == len(blob2)  # every chunk
         # The same bytes registered as another object: nothing carries over.
         mgr.register_loaded("m", 2, bytes(bytearray(blob2)))
         fresh = mgr._held_blob["m"]
         assert fresh is not held
-        assert fresh.crc is None and fresh.digests == {}
+        assert fresh.crc is None
         v3 = touch(v2, "t1")
         f3, _, _ = mgr.encode_for_save("m", 3, v3)
         mgr.decode_for_load("m", f3)
@@ -481,7 +469,7 @@ class TestHeldBaseLifetime:
         # producer-retained fallback) starts with nothing known.
         mgr.register_loaded("m", 2, blob2)
         assert mgr._held_blob["m"].blob is blob2
-        assert mgr._held_blob["m"].digests == {}
+        assert mgr._held_blob["m"].crc is None
         assert decoded == blob2 and "m" not in mgr._decoded
 
     def test_same_length_different_base_is_a_base_error(self):

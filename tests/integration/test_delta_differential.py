@@ -6,12 +6,13 @@ through ``Viper.save_weights`` -> ``load_weights`` under three
 configurations.  Every load must return the saved state byte for byte
 (monolithic == pipelined == delta), and every save of the delta
 configuration must stage exactly the bytes the reference producer below
-emits.  The reference hashes every chunk of every blob
-and carries nothing from one save to the next, so any digest or CRC the
-real producer carries wrongly shows up as a different frame.
+emits.  The reference restates wire format v4 from scratch, compares and
+CRCs every byte of every blob and carries nothing from one save to the
+next, so any compare or CRC the real producer carries wrongly shows up
+as a different frame.
 """
 
-import hashlib
+import struct
 import zlib
 from collections import OrderedDict
 
@@ -21,11 +22,7 @@ from hypothesis import strategies as st
 
 from repro import CaptureMode, TransferStrategy, Viper
 from repro.core.transfer.delta import (
-    _HEADER,
-    _LITERAL,
-    _REUSE,
     CACHE_VERSIONS,
-    FULL_CHANGE_THRESHOLD,
     DeltaConfig,
     is_delta_frame,
 )
@@ -35,10 +32,10 @@ from repro.dnn.serialization import ViperSerializer
 CHUNK = 128
 MODEL = "m"
 SER = ViperSerializer()
-
-
-def _digest(chunk) -> bytes:
-    return hashlib.blake2b(chunk, digest_size=16).digest()
+#: v4: magic | version | base (len, crc) | out (len, crc) | nops, then
+#: per op a tag (0 reuse, 1 literal) and a length.
+FRAME_HEADER = struct.Struct("<4sIQIQII")
+FRAME_OP = struct.Struct("<BQ")
 
 
 def _grid(lengths):
@@ -50,23 +47,22 @@ def _grid(lengths):
         offset += n
 
 
-def reference_frame(base, blob, lengths):
-    """The v3 frame for ``blob`` against ``base`` = (blob, lengths),
-    hashing every chunk of both."""
-    base_blob = base[0]
-    index = {}
-    for o, n in _grid(base[1]):
-        index.setdefault(_digest(base_blob[o : o + n]), (o, n))
-    ops = []
-    for o, n in _grid(lengths):
-        chunk = blob[o : o + n]
-        d = _digest(chunk)
-        if d in index:
-            ops.append(_REUSE.pack(0, *index[d], d))
-        else:  # codec byte reserved (0); the literal ships raw
-            ops.append(_LITERAL.pack(1, 0, n, n, d) + chunk)
-    header = _HEADER.pack(
-        b"VPRD", 3, len(base_blob), zlib.crc32(base_blob),
+def reference_frame(base_blob, blob, lengths):
+    """The v4 frame for ``blob`` against ``base_blob`` on the same grid,
+    or None when it would not be smaller than ``blob``.  Reuse is
+    positional; the size is decided from the compare alone, before a
+    byte of the frame is assembled."""
+    grid = list(_grid(lengths))
+    same = [base_blob[o : o + n] == blob[o : o + n] for o, n in grid]
+    literal = sum(n for (_o, n), hit in zip(grid, same) if not hit)
+    if FRAME_HEADER.size + FRAME_OP.size * len(grid) + literal >= len(blob):
+        return None
+    ops = [
+        FRAME_OP.pack(0, n) if hit else FRAME_OP.pack(1, n) + blob[o : o + n]
+        for (o, n), hit in zip(grid, same)
+    ]
+    header = FRAME_HEADER.pack(
+        b"VPRD", 4, len(base_blob), zlib.crc32(base_blob),
         len(blob), zlib.crc32(blob), len(ops),
     )
     return header + b"".join(ops)
@@ -86,18 +82,10 @@ class ReferenceProducer:
         self.cache[version] = (blob, lengths)
         while len(self.cache) > CACHE_VERSIONS:
             self.cache.popitem(last=False)
-        if base is None:
+        if base is None or base[1] != lengths:  # no base, or a moved grid
             return blob
-        if base[1] == lengths:
-            changed, offset = 0, 0
-            for n in lengths:
-                if blob[offset : offset + n] != base[0][offset : offset + n]:
-                    changed += n
-                offset += n
-            if changed >= FULL_CHANGE_THRESHOLD * len(blob):
-                return blob
-        frame = reference_frame(base, blob, lengths)
-        return frame if len(frame) < len(blob) else blob
+        frame = reference_frame(base[0], blob, lengths)
+        return blob if frame is None else frame
 
 
 def _configs():
@@ -128,12 +116,16 @@ def _versions(seed, sizes, steps):
         names = sorted(state)
         if kind == "full":
             touched = names
-        elif kind == "sparse":
+        elif kind in ("sparse", "part"):
             touched = [k for k, hit in zip(names, mask) if hit]
         else:
             touched = []
         for k in touched:
-            state[k] = rng.standard_normal(state[k].shape).astype(np.float32)
+            fresh = rng.standard_normal(state[k].shape).astype(np.float32)
+            if kind == "part":  # only the head changes: the tail's chunks reuse
+                half = fresh.size // 2
+                fresh[half:] = state[k][half:]
+            state[k] = fresh
         if kind == "grow":  # one piece changes length: the grid shifts
             state[names[-1]] = np.append(state[names[-1]], np.float32(1.5))
         elif kind == "add":  # the piece count changes
@@ -173,7 +165,7 @@ def run_sequence(seed, sizes, steps):
 
 
 step = st.tuples(
-    st.sampled_from(["full", "sparse", "sparse", "zero", "grow", "add"]),
+    st.sampled_from(["full", "sparse", "sparse", "part", "zero", "grow", "add"]),
     st.lists(st.booleans(), min_size=6, max_size=6),
     st.booleans(),
 )
@@ -194,18 +186,20 @@ def test_all_wire_paths_agree_and_frames_match_reference(seed, sizes, steps):
 
 def test_named_scenario_covers_every_producer_branch():
     """One fixed sequence through each branch the property can reach:
-    baseless save, sparse carry, zero change, the monolithic early-out
-    followed by a diff against it (lazy index), a shifted grid, a new
-    piece, and a held base that fell out of the producer cache."""
+    baseless save, sparse carry, zero change, a full change that ships
+    whole followed by a diff against it, a shifted grid, a new piece, a
+    held base that fell out of the producer cache, and a tensor changed
+    only in its head (chunks of a changed piece reused in place)."""
     some, none = [False, True, False, False, False, False], [False] * 6
+    head = [True] + [False] * 5
     steps = [
         ("full", none, True),     # v1: no base yet
-        ("sparse", some, True),   # v2: carried digests
+        ("sparse", some, True),   # v2: carried pieces and CRCs
         ("zero", none, True),     # v3: all reuse
-        ("full", none, True),     # v4: early-out, index left unbuilt
-        ("sparse", some, True),   # v5: diffs against v4 -> lazy index
-        ("grow", none, True),     # v6: grid shifted -> full hashing
-        ("add", none, True),      # v7: piece count changed
+        ("full", none, True),     # v4: frame not smaller -> ships whole
+        ("sparse", some, True),   # v5: diffs against v4's joined blob
+        ("grow", none, True),     # v6: grid shifted -> ships whole
+        ("add", none, True),      # v7: piece count changed -> whole
         ("sparse", some, False),  # v8..v12 unloaded: v7 is evicted from
         ("sparse", some, False),  # the producer cache (CACHE_VERSIONS=4)
         ("sparse", some, False),
@@ -213,6 +207,7 @@ def test_named_scenario_covers_every_producer_branch():
         ("sparse", some, False),
         ("sparse", some, True),   # v13: base gone -> ships whole; reload
         ("sparse", some, True),   # v14: delta again
+        ("part", head, True),     # v15: t0's tail chunks reused in place
     ]
     sizes = [150, 24, 97, 7]
     run_sequence(7, sizes, steps)
@@ -225,6 +220,6 @@ def test_named_scenario_covers_every_producer_branch():
         if load:
             reference.held = version
     assert kinds == [
-        False, True, True, False, True, True, True,
-        True, True, True, True, False, False, True,
+        False, True, True, False, True, False, False,
+        True, True, True, True, False, False, True, True,
     ]

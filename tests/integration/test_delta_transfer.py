@@ -127,7 +127,7 @@ class TestDeltaEndToEnd:
             frame, _ = store.get(res.record.path)
             assert 0 < res.record.wire_bytes < res.record.nbytes
             bad = bytearray(frame)
-            bad[4] ^= 0xFF  # the frame version: 3 -> 252
+            bad[4] ^= 0xFF  # the frame version: 4 -> 251
             store.put(res.record.path, bytes(bad))
             with pytest.raises(RetriesExhausted) as info:
                 consumer.apply_update("m")
@@ -144,7 +144,7 @@ class TestDeltaEndToEnd:
         # instead of re-reading the payload, must still refuse it.
         import zlib
 
-        from repro.core.transfer.delta import ChunkIndex, encode_frame
+        from repro.core.transfer.delta import encode_frame
         from repro.dnn.layers import Dense
         from repro.dnn.models import Sequential
         from repro.errors import IntegrityError, RetriesExhausted
@@ -165,10 +165,8 @@ class TestDeltaEndToEnd:
             bad[8] ^= 0x01  # the v2 header's payload CRC
             bad = bytes(bad)
             chunk = delta.config.chunk_bytes
-            # A bare encode hashes what it is given: a valid out-CRC.
-            frame, _ = encode_frame(
-                ChunkIndex(delta.full_blob("m", 1), chunk), [bad], chunk
-            )
+            # A bare encode CRCs what it is given: a valid out-CRC.
+            frame, _ = encode_frame(delta.full_blob("m", 1), [bad], chunk)
             viper.consumer_node.dram.put(res.record.path, frame)
             ser = viper.handler.serializer
             carried = []

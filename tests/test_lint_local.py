@@ -16,7 +16,8 @@ findings on ``src/repro``:
   body binds), found with :mod:`symtable`;
 - a module that no entry point imports (see :data:`ENTRY_POINTS`);
 - a ``threading.Thread(...)`` or ``queue.Queue(...)`` built outside the
-  one background worker class (see :data:`WORKER_ALLOWLIST`).
+  one background worker class (see :data:`WORKER_ALLOWLIST`);
+- an import of ``hashlib``: CRC-32 (``zlib``) is the one checksum family.
 
 ``make lint-local`` runs this plus ``python -m compileall -q src``.
 """
@@ -77,6 +78,8 @@ WORKER_ALLOWLIST = {
     "workflow/live.py",
 }
 WORKER_PRIMITIVES = {("threading", "Thread"), ("queue", "Queue")}
+#: A second checksum family would need one of these: none may be imported.
+FORBIDDEN_MODULES = {"hashlib"}
 
 
 def _bound_names(node):
@@ -234,6 +237,31 @@ def worker_constructions(tree):
     return sorted(found)
 
 
+def forbidden_imports(tree):
+    """Lines that import a :data:`FORBIDDEN_MODULES` module: ``import``,
+    ``from ... import``, or ``__import__`` / ``import_module`` of a
+    literal name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("__import__", "import_module")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            names = [str(node.args[0].value)]
+        else:
+            continue
+        if any(name.split(".")[0] in FORBIDDEN_MODULES for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
 def _module_paths(root: Path, package: str):
     """Dotted module name -> path, for every module under ``root/package``."""
     out = {}
@@ -362,6 +390,29 @@ def test_gate_catches_a_thread_or_queue_construction():
         "fine = Event(), th.Lock(), queue.Empty\n"
     )
     assert worker_constructions(tree) == [4, 5, 6]
+
+
+def test_one_checksum_family():
+    importers = {
+        str(path.relative_to(SRC))
+        for path in ALL_MODULES
+        if forbidden_imports(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert importers == set()
+
+
+def test_gate_catches_a_hashlib_import():
+    tree = ast.parse(
+        "import zlib\n"
+        "import os, hashlib\n"
+        "import hashlib as h\n"
+        "from hashlib import blake2b\n"
+        "mod = __import__('hashlib')\n"
+        "import importlib\n"
+        "other = importlib.import_module('hashlib')\n"
+        "fine = zlib.crc32(b''), importlib.import_module('zlib')\n"
+    )
+    assert forbidden_imports(tree) == [2, 3, 4, 5, 7]
 
 
 def test_modules_found():
