@@ -133,7 +133,7 @@ def measure_manager(fraction: float):
             else manager.decode_for_load("bench", frame)
         )
         t2 = time.perf_counter()
-        assert loaded == ser.dumps(state)
+        assert bytes(loaded) == ser.dumps(state)
         manager.register_loaded("bench", version, loaded)
         if version >= 3:
             encode_s.append(t1 - t0)

@@ -27,27 +27,36 @@ application still saves and loads whole state dicts.
    pays here — zlib trims a 10 %-changed frame by ~7 % at a third of the
    encode throughput, and every link a frame crosses runs at >= 1 GB/s
    (``docs/architecture.md``).
-4. **Reconstruction** — the consumer checks the held base against the
-   frame's base ``(length, CRC-32)``, replays the recipe with every
-   structural bounds check, and verifies the whole reconstructed blob's
-   CRC-32 — *then* the inner v2 header checksum is compared again inside
-   ``Serializer.loads`` before the double-buffer swap.  Corruption at
-   any level raises :class:`~repro.errors.IntegrityError`; a missing or
+4. **Reconstruction** — the consumer holds its base as an immutable
+   :class:`~repro.dnn.serialization.Segments` table (read-only views
+   over ``bytes``, each with its CRC-32).  It checks the base against
+   the frame's base ``(length, CRC-32)``, replays the recipe with every
+   structural bounds check, and builds the reconstruction as a new
+   table: a reuse run is the base's own segments, a literal run is
+   copied once into a segment of its own.  The out-CRC is folded from
+   the segments' CRCs and compared before anything is committed —
+   *then* the inner v2 header checksum is compared again inside
+   ``Serializer.loads``, which reads the table in place, before the
+   double-buffer swap.  No full blob is joined.  Corruption at any
+   level raises :class:`~repro.errors.IntegrityError`; a missing or
    mismatched base raises :class:`DeltaBaseError` so the handler can
    fall back to the monolithic blob instead of erroring the update wave.
 
-CRC-32 is the one checksum, and every byte is CRC'd once per side:
+CRC-32 is the one checksum, and no byte is CRC'd twice on either side:
 CRCs that one step computed or verified travel with the bytes as data
-(the retained pieces on the producer, the held base's CRC on the
+(the retained pieces on the producer, the held base's segments on the
 consumer) instead of being recomputed by the next step.  CRC-32 is
 linear, so the producer folds the v2 header's payload CRC and the
 frame's out-CRC from per-piece CRCs with
 :func:`~repro.dnn.serialization.crc32_combine`, and the monolithic blob
-is joined only when it ships whole; the consumer derives its inner v2
-check from the verified out-CRC (:meth:`DeltaManager.decoded_crc` ->
-``loads(..., blob_crc=)``).  A bare :func:`encode_frame` /
-:func:`decode_frame` call carries nothing and CRCs everything;
-``docs/architecture.md`` tabulates who checks and who copies what.
+is joined only when it ships whole.  The consumer folds the out-CRC
+from its segments' CRCs, so a warm decode reads only the literals (and
+a base segment only where a run boundary cuts it); a base loaded whole
+is read once, by the first frame against it.  The inner v2 check
+derives from the verified out-CRC the reconstruction carries.  A bare
+:func:`encode_frame` / :func:`decode_frame` call carries nothing and
+CRCs everything; ``docs/architecture.md`` tabulates who checks and who
+copies what.
 
 Fallback rules (all decided per save/load, never per deployment):
 
@@ -65,11 +74,12 @@ from __future__ import annotations
 import struct
 import threading
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import DeltaBaseError, IntegrityError, StorageError
-from repro.dnn.serialization import ViperSerializer, crc32_combine
+from repro.dnn.serialization import Segments, ViperSerializer, crc32_combine
 from repro.substrates.cost import KB
 
 __all__ = [
@@ -326,16 +336,6 @@ def frame_info(frame) -> Dict[str, int]:
     }
 
 
-@dataclass
-class _HeldBase:
-    """A consumer-held blob plus its CRC-32, once known."""
-
-    blob: bytes
-    #: CRC-32 of ``blob``: the out-CRC checked when it was reconstructed,
-    #: else computed by the first decode against it.
-    crc: Optional[int] = None
-
-
 def decode_frame(frame, base_blob: Optional[bytes]) -> bytes:
     """Reconstruct the full v2 blob from a frame plus the held base.
 
@@ -345,40 +345,73 @@ def decode_frame(frame, base_blob: Optional[bytes]) -> bytes:
     reconstruction must match the frame's CRC-32 — any mismatch raises
     :class:`~repro.errors.IntegrityError` before a single byte can reach
     the double buffer.  Called bare like this, nothing is known about
-    ``base_blob``: its CRC is computed here.
+    ``base_blob``: it is CRC'd whole, and the result is joined.
     """
-    base = _HeldBase(base_blob) if base_blob is not None else None
-    return _reconstruct(frame, base).blob
+    base = Segments.of(base_blob) if base_blob is not None else None
+    out, _ = _reconstruct(frame, base)
+    return bytes(out)
 
 
-def _reconstruct(frame, base: Optional[_HeldBase]) -> _HeldBase:
-    """:func:`decode_frame` against a base that remembers its CRC.
+def _fold(views: Sequence[memoryview], crcs: Sequence[int]) -> int:
+    """CRC-32 of the concatenated ``views`` from their own CRCs."""
+    crc = 0
+    for view, piece_crc in zip(views, crcs):
+        crc = crc32_combine(crc, piece_crc, len(view))
+    return crc
 
-    Returns the reconstruction with its verified out-CRC.  ``base``
-    learns its CRC only once the whole decode has verified, so a failed
-    decode leaves it exactly as it was.
+
+def _cut(base: Segments, cuts: Sequence[int]) -> Segments:
+    """``base`` split at the sorted offsets ``cuts``, every piece CRC'd:
+    one read of every byte, and the whole CRC folded from the pieces."""
+    views: List[memoryview] = []
+    k = 0
+    for start, view in zip(base.starts, base.views):
+        end, lo = start + len(view), 0
+        while k < len(cuts) and cuts[k] <= start:
+            k += 1
+        while k < len(cuts) and cuts[k] < end:
+            views.append(view[lo : cuts[k] - start])
+            lo = cuts[k] - start
+            k += 1
+        views.append(view[lo:])
+    crcs = [zlib.crc32(view) for view in views]
+    return Segments(views, crcs, _fold(views, crcs))
+
+
+def _reconstruct(
+    frame, base: Optional[Segments]
+) -> Tuple[Segments, Optional[Segments]]:
+    """:func:`decode_frame` against a held base, without joining it.
+
+    Returns the reconstruction as a :class:`Segments` table carrying its
+    segments' CRCs and the verified out-CRC, and — when ``base`` carried
+    no CRC table — the base cut along this frame's runs with the CRCs
+    read on the way (else None).  Reuse runs are the base's own segments,
+    each literal run is copied once into a segment of its own, and the
+    out-CRC is folded from the segments' CRCs.  Bytes read: the literals,
+    a base segment only where a run boundary cuts it, and a base without
+    a CRC table once, whole, to check it against the frame's base CRC.
+    Nothing is committed here, so a failed decode leaves no trace.
     """
     info = frame_info(frame)
     mv = memoryview(frame)
-    base_mv = memoryview(b"")
+    held = 0
     if info["base_len"]:
         if base is None:
             raise DeltaBaseError(
                 f"delta frame needs a {info['base_len']}-byte base blob "
                 f"but none is held"
             )
-        base_crc = base.crc
-        if base_crc is None and len(base.blob) == info["base_len"]:
-            base_crc = zlib.crc32(base.blob)
-        if len(base.blob) != info["base_len"] or base_crc != info["base_crc"]:
+        if len(base) != info["base_len"] or base.crc not in (None, info["base_crc"]):
             raise DeltaBaseError(
                 f"held base does not match the frame's negotiated base "
-                f"(len {len(base.blob)} vs {info['base_len']})"
+                f"(len {len(base)} vs {info['base_len']})"
             )
-        base_mv = memoryview(base.blob)
+        held = len(base)
 
-    parts: List = []  # literals and the base runs between them, in order
-    run = 0  # where the open base run starts: reuse is positional
+    # [start, end, literal views], or [start, end, None] for a reuse run:
+    # runs of same-kind ops, in write order.  Reuse is positional.
+    runs: List[list] = []
     pos = _HEADER.size
     write = 0
     for _ in range(info["nops"]):
@@ -386,22 +419,28 @@ def _reconstruct(frame, base: Optional[_HeldBase]) -> _HeldBase:
             raise IntegrityError("truncated delta frame (ops)")
         tag, size = _OP.unpack_from(mv, pos)
         pos += _OP.size
+        literal = None
         if tag == _OP_REUSE:
-            if write + size > len(base_mv):
+            if write + size > held:
                 raise DeltaBaseError(
                     f"reuse op [{write}:{write + size}] exceeds the "
-                    f"held base ({len(base_mv)} bytes)"
+                    f"held base ({held} bytes)"
                 )
         elif tag == _OP_LITERAL:
             if pos + size > len(mv):
                 raise IntegrityError("truncated delta frame (literal)")
-            parts += (base_mv[run:write], mv[pos : pos + size])
+            literal = mv[pos : pos + size]
             pos += size
-            run = write + size
         else:
             raise IntegrityError(f"unknown delta op tag {tag}")
         if write + size > info["out_len"]:
             raise IntegrityError("delta recipe overflows the declared length")
+        if size and runs and (runs[-1][2] is None) == (literal is None):
+            runs[-1][1] += size
+            if literal is not None:
+                runs[-1][2].append(literal)
+        elif size:
+            runs.append([write, write + size, None if literal is None else [literal]])
         write += size
     if write != info["out_len"]:
         raise IntegrityError(
@@ -412,9 +451,36 @@ def _reconstruct(frame, base: Optional[_HeldBase]) -> _HeldBase:
         raise IntegrityError(
             f"{len(mv) - pos} bytes follow the last of {info['nops']} delta ops"
         )
-    parts.append(base_mv[run:write])
-    out = b"".join(parts)
-    actual = zlib.crc32(out)
+
+    learned = None
+    if held and base.crcs is None:
+        cuts = sorted({edge for run in runs for edge in run[:2] if 0 < edge < held})
+        base = learned = _cut(base, cuts)
+        if base.crc != info["base_crc"]:
+            raise DeltaBaseError(
+                f"held base does not match the frame's negotiated base "
+                f"(CRC {base.crc:#010x} vs {info['base_crc']:#010x})"
+            )
+    views: List[memoryview] = []
+    crcs: List[int] = []
+    for start, end, literals in runs:
+        if literals is not None:
+            data = b"".join(literals)  # the frame is not kept alive
+            views.append(memoryview(data))
+            crcs.append(zlib.crc32(data))
+            continue
+        i = bisect_right(base.starts, start) - 1
+        while i < len(base.views) and base.starts[i] < end:
+            seg_start, view = base.starts[i], base.views[i]
+            if start <= seg_start and seg_start + len(view) <= end:
+                views.append(view)
+                crcs.append(base.crcs[i])
+            else:  # the run boundary cuts this segment: read the part
+                part = view[max(start - seg_start, 0) : end - seg_start]
+                views.append(part)
+                crcs.append(zlib.crc32(part))
+            i += 1
+    actual = _fold(views, crcs)
     if actual != info["out_crc"]:
         raise IntegrityError(
             f"reconstructed blob CRC mismatch: frame says "
@@ -422,9 +488,7 @@ def _reconstruct(frame, base: Optional[_HeldBase]) -> _HeldBase:
             expected=info["out_crc"],
             actual=actual,
         )
-    if info["base_len"]:
-        base.crc = base_crc
-    return _HeldBase(out, actual)
+    return Segments(views, crcs, actual), learned
 
 
 class _ProducerEntry:
@@ -454,8 +518,9 @@ class DeltaManager:
     Producer side: retains the last :data:`CACHE_VERSIONS` saved versions
     (as serializer pieces) per model, knows which version the consumer
     holds, and decides delta vs monolithic per save.  Consumer side:
-    retains the reconstructed blob of the last successful load per model,
-    which is the base the next frame reuses against.  In this
+    retains what the last successful load per model loaded, as an
+    immutable :class:`~repro.dnn.serialization.Segments` table, which is
+    the base the next frame reuses against.  In this
     reproduction both ends live in one process, but the two maps are
     kept strictly separate so losing one side (a restarted consumer)
     exercises the real fallback.
@@ -470,9 +535,7 @@ class DeltaManager:
         # negotiation: model -> version the consumer last confirmed
         self._held_version: Dict[str, int] = {}
         # consumer: model -> the held base
-        self._held_blob: Dict[str, _HeldBase] = {}
-        # consumer: model -> the last reconstruction, until it is registered
-        self._decoded: Dict[str, _HeldBase] = {}
+        self._held_base: Dict[str, Segments] = {}
 
     @property
     def enabled(self) -> bool:
@@ -607,36 +670,35 @@ class DeltaManager:
     # ------------------------------------------------------------------
     # Consumer side
     # ------------------------------------------------------------------
-    def decode_for_load(self, model_name: str, frame) -> bytes:
-        """Reconstruct a fetched frame against the held base."""
-        with self._lock:
-            base = self._held_blob.get(model_name)
-        decoded = _reconstruct(frame, base)
-        with self._lock:
-            self._decoded[model_name] = decoded
-        return decoded.blob
+    def decode_for_load(self, model_name: str, frame) -> Segments:
+        """Reconstruct a fetched frame against the held base, as a
+        :class:`~repro.dnn.serialization.Segments` table that
+        ``Serializer.loads`` reads and :meth:`register_loaded` adopts.
 
-    def decoded_crc(self, model_name: str, blob) -> Optional[int]:
-        """The verified out-CRC of ``blob`` when it is the very object
-        :meth:`decode_for_load` last returned for the model (the identity
-        rule :meth:`register_loaded` follows), else None."""
-        with self._lock:
-            decoded = self._decoded.get(model_name)
-        if decoded is None or decoded.blob is not blob:
-            return None
-        return decoded.crc
-
-    def register_loaded(self, model_name: str, version: int, blob: bytes) -> None:
-        """A consumer finished loading ``version``: new negotiation base.
-
-        The very object :meth:`decode_for_load` last returned brings its
-        verified out-CRC along; of any other blob nothing is known yet.
+        A held base loaded whole is read by the first frame against it
+        only: once that decode has verified, the base is held cut along
+        the frame's runs with the CRCs read on the way.
         """
         with self._lock:
-            held = self._decoded.pop(model_name, None)
-            if held is None or held.blob is not blob:
-                held = _HeldBase(bytes(blob))
-            self._held_blob[model_name] = held
+            base = self._held_base.get(model_name)
+        out, learned = _reconstruct(frame, base)
+        if learned is not None:
+            with self._lock:
+                if self._held_base.get(model_name) is base:
+                    self._held_base[model_name] = learned
+        return out
+
+    def register_loaded(self, model_name: str, version: int, blob) -> None:
+        """A consumer finished loading ``version``: new negotiation base.
+
+        A reconstruction :meth:`decode_for_load` returned is adopted as
+        is, with the CRCs its decode verified; any other blob becomes a
+        one-segment base of which nothing is known yet.
+        """
+        if not (isinstance(blob, Segments) and blob.crcs is not None):
+            blob = Segments.of(bytes(blob))
+        with self._lock:
+            self._held_base[model_name] = blob
             self._held_version[model_name] = version
 
     def held_version(self, model_name: str) -> Optional[int]:
@@ -646,7 +708,7 @@ class DeltaManager:
     def forget_held(self, model_name: Optional[str] = None) -> None:
         """Drop the consumer-side base(s) (a restarted consumer)."""
         with self._lock:
-            for table in (self._held_blob, self._held_version, self._decoded):
+            for table in (self._held_base, self._held_version):
                 if model_name is None:
                     table.clear()
                 else:

@@ -744,14 +744,11 @@ class ModelWeightsHandler:
         ):
             try:
                 # Zero-copy fast path: the pipelined consumer reads the
-                # weights in place (read-only views over the staged blob).
-                # A reconstruction's verified out-CRC is handed on, so the
-                # inner v2 check derives its CRC instead of re-reading.
-                state = self.serializer.loads(
-                    blob,
-                    copy=not self.pipeline.enabled,
-                    blob_crc=self.delta.decoded_crc(record.model_name, blob),
-                )
+                # weights in place (read-only views over the staged blob or
+                # the reconstruction's segments).  A reconstruction carries
+                # its verified out-CRC, so the inner v2 check derives its
+                # CRC instead of re-reading.
+                state = self.serializer.loads(blob, copy=not self.pipeline.enabled)
             except IntegrityError:
                 self.stats.record_corruption(location)
                 raise

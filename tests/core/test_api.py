@@ -164,7 +164,8 @@ class TestZeroCopyConsumer:
     @contextmanager
     def _placed(self, pipelined, op):
         """Save v1 (applied) and a sparse v2 (placed by ``op``); yields
-        the model ``op`` filled, v2, and the consumer's held base blob."""
+        the model ``op`` filled, v2, and the buffers of the consumer's held
+        base segments."""
         kw = dict(mode=CaptureMode.SYNC, strategy=TransferStrategy.HOST_TO_HOST)
         with Viper(pipeline=PipelineConfig(enabled=pipelined), delta=True) as viper:
             consumer = viper.consumer(model_builder=wide_model_builder)
@@ -179,15 +180,15 @@ class TestZeroCopyConsumer:
                 model = consumer.current_model()
             else:
                 model = consumer.canary_snapshot().model
-            held = viper.handler.delta._held_blob["m"].blob
-            yield model, v2, np.frombuffer(held, dtype=np.uint8)
+            held = viper.handler.delta._held_base["m"]
+            yield model, v2, [np.frombuffer(v, dtype=np.uint8) for v in held.views]
 
     @pytest.mark.parametrize("op", ["apply_update", "stage_candidate"])
     def test_pipelined_model_serves_the_verified_blob(self, op):
         with self._placed(True, op) as (model, v2, held):
             for key, array in params(model).items():
                 assert not array.flags.writeable, key
-                assert np.shares_memory(array, held), key
+                assert any(np.shares_memory(array, seg) for seg in held), key
                 with pytest.raises(ValueError):
                     array[...] = 0.0
                 assert array.tobytes() == v2[key].tobytes(), key
@@ -197,7 +198,7 @@ class TestZeroCopyConsumer:
         with self._placed(False, op) as (model, v2, held):
             for key, array in params(model).items():
                 assert array.flags.writeable, key
-                assert not np.shares_memory(array, held), key
+                assert not any(np.shares_memory(array, seg) for seg in held), key
                 assert array.tobytes() == v2[key].tobytes(), key
 
     def test_copying_load_after_a_zero_copy_one(self):

@@ -5,8 +5,8 @@ carried can outlive the bytes it was computed over.
 ``encode_frame``/``decode_frame`` checks; this file covers the state the
 :class:`DeltaManager` keeps between calls — the producer's retained
 serializer pieces (shared with the base where unchanged, with their
-CRCs) and the consumer-held base's memoised CRC.  CRC-32 is the one
-checksum: no step calls BLAKE2b.
+CRCs) and the consumer-held base, an immutable table of segments with
+their CRCs.  CRC-32 is the one checksum: no step calls BLAKE2b.
 """
 
 import hashlib
@@ -94,6 +94,15 @@ def hashed(monkeypatch):
     return seen
 
 
+def literal_bytes(frame):
+    return sum(n for tag, _, n in ops(frame) if tag == _OP_LITERAL)
+
+
+def owners(table):
+    """The distinct buffers a table's segments keep alive."""
+    return list({id(view.obj): view.obj for view in table.views}.values())
+
+
 def chain(mgr, *states):
     """Save and load every state in turn; the frames (None = shipped
     whole) and blobs, with the last load's result left as the held base."""
@@ -102,7 +111,7 @@ def chain(mgr, *states):
         blob = SER.dumps(state)
         frame, _, _ = mgr.encode_for_save("m", version, state)
         loaded = blob if frame is None else mgr.decode_for_load("m", frame)
-        assert loaded == blob
+        assert bytes(loaded) == blob
         mgr.register_loaded("m", version, loaded)
         frames.append(frame)
         blobs.append(blob)
@@ -150,7 +159,7 @@ class TestProducerCarry:
         assert frame is not None
         assert hashed["crc_bytes"] == v3["t0"].nbytes + V2_HEADER
         assert hashed["blake2b"] == 0
-        assert mgr.decode_for_load("m", frame) == SER.dumps(v3)
+        assert bytes(mgr.decode_for_load("m", frame)) == SER.dumps(v3)
 
     def test_disabled_manager_touches_nothing(self):
         mgr = DeltaManager(DeltaConfig(enabled=False), serializer=SER)
@@ -309,42 +318,62 @@ class TestTensorKeyedSave:
 
 
 class TestConsumerMemo:
-    def test_warm_decode_crcs_only_the_reconstruction(self, hashed):
+    def test_warm_decode_crcs_only_the_literals(self, hashed):
         mgr = manager()
         v1 = make_state(4)
         v2 = touch(v1, "t2")
-        v3 = touch(v2, "t3")
+        v3 = touch(v2, "t2")
         (_, f2), _ = chain(mgr, v1, v2)
         blob3 = SER.dumps(v3)
         f3, _, _ = mgr.encode_for_save("m", 3, v3)
         hashed["crc_bytes"] = 0
-        assert mgr.decode_for_load("m", f3) == blob3
-        # The base was reconstructed here: its CRC is the out-CRC checked
-        # then, so no base byte is read again, reused or not.
-        assert hashed["crc_bytes"] == len(blob3)
+        out = mgr.decode_for_load("m", f3)
+        # The base was reconstructed here: its segments carry the CRCs
+        # checked then, and its runs end where this frame's do, so the
+        # out-CRC is folded from them and only the literals are read.
+        assert hashed["crc_bytes"] == literal_bytes(f3) == v3["t2"].nbytes + V2_HEADER
         assert hashed["blake2b"] == 0
-        literals3 = sum(1 for tag, _, _ in ops(f3) if tag == _OP_LITERAL)
-        assert f2 is not None and 0 < literals3 < frame_info(f3)["nops"]
+        assert bytes(out) == blob3 and out.crc == zlib.crc32(blob3)
+        assert f2 is not None and 0 < literal_bytes(f3) < len(blob3)
 
-    def test_warm_decode_and_load_crc_every_byte_once(self, hashed):
+    def test_a_new_cut_reads_only_the_segment_it_cuts(self, hashed):
+        mgr = manager()
+        v1 = make_state(16)
+        v2 = touch(v1, "t1")
+        v3 = touch(v2, "t4")  # a tensor no run boundary has cut yet
+        _, (_, blob2) = chain(mgr, v1, v2)
+        f3, _, _ = mgr.encode_for_save("m", 3, v3)
+        t4 = SER.dumps(v3).index(v3["t4"].tobytes())
+        held = mgr._held_base["m"]
+        i = max(i for i, start in enumerate(held.starts) if start <= t4)
+        hashed["crc_bytes"] = 0
+        mgr.decode_for_load("m", f3)
+        # The segment holding t4 is read once, all but t4's old bytes.
+        cut = len(held.views[i]) - v3["t4"].nbytes
+        assert hashed["crc_bytes"] == literal_bytes(f3) + cut
+        mgr.register_loaded("m", 3, mgr.decode_for_load("m", f3))
+        # From then on the same tensor changing reads only the literals.
+        f4, _, _ = mgr.encode_for_save("m", 4, touch(v3, "t4"))
+        hashed["crc_bytes"] = 0
+        mgr.decode_for_load("m", f4)
+        assert hashed["crc_bytes"] == literal_bytes(f4)
+
+    def test_warm_decode_and_load_crc_the_literals_and_the_header(self, hashed):
         mgr = manager()
         v1 = make_state(12)
-        v2 = touch(v1, "t2")
+        v2 = touch(v1, "t3")
         v3 = touch(v2, "t3")
         chain(mgr, v1, v2)
         blob3 = SER.dumps(v3)
         f3, _, _ = mgr.encode_for_save("m", 3, v3)
         hashed["crc_bytes"] = 0
         out = mgr.decode_for_load("m", f3)
-        state = SER.loads(out, blob_crc=mgr.decoded_crc("m", out))
-        # The out-CRC reads every reconstructed byte; the inner v2 check
-        # derives the payload CRC from it and re-reads only the header.
-        assert hashed["crc_bytes"] == len(blob3) + V2_HEADER
+        state = SER.loads(out, copy=False)
+        # The reconstruction carries its verified out-CRC; the inner v2
+        # check derives the payload CRC from it and re-reads only the
+        # header.
+        assert hashed["crc_bytes"] == literal_bytes(f3) + V2_HEADER
         assert SER.dumps(state) == blob3
-        # Only the decode's own object carries the CRC.
-        assert mgr.decoded_crc("m", bytes(bytearray(out))) is None
-        mgr.register_loaded("m", 3, out)
-        assert mgr.decoded_crc("m", out) is None
 
     def test_cold_base_is_hashed_once_then_remembered(self, hashed):
         mgr = manager()
@@ -352,19 +381,59 @@ class TestConsumerMemo:
         blob1 = SER.dumps(v1)
         mgr.encode_for_save("m", 1, v1)
         mgr.register_loaded("m", 1, blob1)  # loaded whole: nothing known
-        held = mgr._held_blob["m"]
-        assert held.crc is None
+        held = mgr._held_base["m"]
+        assert held.crcs is None and held.crc is None
         v2 = touch(v1, "t0")
-        blob2 = SER.dumps(v2)
         f2, _, _ = mgr.encode_for_save("m", 2, v2)
         hashed["crc_bytes"] = 0
         mgr.decode_for_load("m", f2)
-        assert hashed["crc_bytes"] == len(blob1) + len(blob2)
-        assert held.crc == zlib.crc32(blob1)
+        assert hashed["crc_bytes"] == len(blob1) + literal_bytes(f2)
+        # The verified decode left the same bytes held with their CRCs,
+        # cut where the frame's runs cut them.
+        learned = mgr._held_base["m"]
+        assert learned is not held and learned.crc == zlib.crc32(blob1)
+        assert owners(learned) == [blob1] and len(learned.views) > 1
         hashed["crc_bytes"] = 0
         mgr.decode_for_load("m", f2)  # e.g. a retried load
-        assert hashed["crc_bytes"] == len(blob2)
+        assert hashed["crc_bytes"] == literal_bytes(f2)
         assert hashed["blake2b"] == 0
+
+    def test_warm_decode_and_load_allocate_no_full_size_buffer(self):
+        mgr = DeltaManager(DeltaConfig(enabled=True), serializer=SER)  # 64 KB
+        v1 = make_state(17, size=64_000)  # 6 x 256 KB
+        v2 = touch(v1, "t4")
+        v3 = touch(v2, "t4")
+        chain(mgr, v1, v2)
+        f3, _, _ = mgr.encode_for_save("m", 3, v3)
+        tracemalloc.start()
+        try:
+            state = SER.loads(mgr.decode_for_load("m", f3), copy=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The t4 literal copy and the segment table: well below one copy
+        # of the six-tensor blob.
+        assert peak < len(SER.dumps(v3)) / 2
+        assert SER.dumps(state) == SER.dumps(v3)
+
+    def test_held_base_keeps_no_chain_of_old_frames(self):
+        mgr = manager()
+        states = [make_state(18, size=2000)]
+        for _ in range(20):
+            states.append(touch(states[-1], "t2", "t5"))
+        frames, blobs = chain(mgr, *states)
+        assert all(frame is not None for frame in frames[1:])
+        held = mgr._held_base["m"]
+        changed = states[-1]["t2"].nbytes + states[-1]["t5"].nbytes
+        # The blob loaded whole, plus this version's literals (the two
+        # changed payloads and the v2 header): no frame, no old literal.
+        kept = owners(held)
+        assert [obj for obj in kept if len(obj) == len(blobs[0])] == [blobs[0]]
+        assert sum(len(obj) for obj in kept) == len(blobs[0]) + changed + V2_HEADER
+        assert not any(is_delta_frame(obj) for obj in kept)
+        # The table stays flat: the v2 header, t2 and t5 literals and the
+        # two base runs between them.
+        assert len(held.views) == 5
 
 
 class TestFailedDecodeLeavesNoTrace:
@@ -378,16 +447,14 @@ class TestFailedDecodeLeavesNoTrace:
         version = 3 if warm else 2
         blob = SER.dumps(newest)
         frame, _, _ = mgr.encode_for_save("m", version, newest)
-        held = mgr._held_blob["m"]
+        held = mgr._held_base["m"]
         return mgr, frame, blob, held
 
     @pytest.mark.parametrize("warm", [True, False])
-    @pytest.mark.parametrize(
-        "target", ["literal", "reuse as wrong literal", "reused base run"]
-    )
+    @pytest.mark.parametrize("target", ["literal", "reuse as wrong literal"])
     def test_corrupt_frame_raises_and_changes_nothing(self, warm, target):
         mgr, frame, blob, held = self._held_with_frame(warm)
-        base = held.blob
+        base = bytes(held)
         bad, write = frame, 0
         for tag, pos, size in ops(frame):
             if target == "literal" and tag == _OP_LITERAL:
@@ -401,28 +468,34 @@ class TestFailedDecodeLeavesNoTrace:
                 op = _OP.pack(_OP_LITERAL, size) + wrong
                 bad = frame[:pos] + op + frame[pos + _OP.size :]
                 break
-            if target == "reused base run" and tag == _OP_REUSE:
-                # The held bytes change under their recorded CRC.
-                flipped = bytearray(base)
-                flipped[write + size // 2] ^= 0x01
-                held.blob = bytes(flipped)
-                break
             write += size
-        assert (bad, held.blob) != (frame, base)
-        before = (held.blob, held.crc)
-        if target == "reused base run" and not warm:
-            # A cold base is CRC'd before any op runs: changed bytes are
-            # a mismatched base (fall back), not a corrupt frame.
-            expected = pytest.raises(DeltaBaseError)
-        else:
-            expected = pytest.raises(IntegrityError, match="blob CRC mismatch")
-        with expected:
+        assert bad != frame
+        with pytest.raises(IntegrityError, match="blob CRC mismatch"):
             mgr.decode_for_load("m", bad)
-        assert (held.blob, held.crc) == before
-        assert mgr._held_blob["m"] is held and "m" not in mgr._decoded
+        # The held base is immutable, and it is still the one held.
+        assert mgr._held_base["m"] is held and bytes(held) == base
         # A failed decode cannot poison the next one.
-        held.blob = base
-        assert mgr.decode_for_load("m", frame) == blob
+        assert bytes(mgr.decode_for_load("m", frame)) == blob
+
+    def test_held_base_cannot_be_reassigned(self):
+        # The held bytes cannot change under their recorded CRCs: the
+        # table and its segments are read-only.
+        mgr, _, _, held = self._held_with_frame(warm=True)
+        assert held.crcs is not None
+        with pytest.raises(AttributeError):
+            held.views = tuple(memoryview(bytes(v)) for v in held.views)
+        with pytest.raises(AttributeError):
+            held.crc = 0
+        assert all(view.readonly for view in held.views)
+        assert all(type(obj) is bytes for obj in owners(held))
+
+    def test_bytes_registered_from_outside_a_decode_carry_no_crc_table(self):
+        mgr, _, _, _ = self._held_with_frame(warm=True)
+        blob = SER.dumps(make_state(6))
+        mgr.register_loaded("m", 1, blob)
+        held = mgr._held_base["m"]
+        assert held.crcs is None and held.crc is None
+        assert owners(held) == [blob] and len(held.views) == 1
 
     def test_out_crc_mismatch_commits_nothing(self):
         mgr, frame, blob, held = self._held_with_frame(warm=False)
@@ -431,8 +504,7 @@ class TestFailedDecodeLeavesNoTrace:
         with pytest.raises(IntegrityError, match="CRC mismatch"):
             mgr.decode_for_load("m", bytes(bad))
         # The base's CRC was computed and matched, yet it is not on record.
-        assert held.crc is None
-        assert "m" not in mgr._decoded
+        assert mgr._held_base["m"] is held and held.crcs is None
 
 
 class TestHeldBaseLifetime:
@@ -441,18 +513,18 @@ class TestHeldBaseLifetime:
         v1 = make_state(7)
         v2 = touch(v1, "t0")
         _, (blob1, blob2) = chain(mgr, v1, v2)
-        held = mgr._held_blob["m"]
-        assert held.blob == blob2 and held.crc == zlib.crc32(blob2)
+        held = mgr._held_base["m"]
+        assert bytes(held) == blob2 and held.crc == zlib.crc32(blob2)
         # The same bytes registered as another object: nothing carries over.
         mgr.register_loaded("m", 2, bytes(bytearray(blob2)))
-        fresh = mgr._held_blob["m"]
+        fresh = mgr._held_base["m"]
         assert fresh is not held
-        assert fresh.crc is None
+        assert fresh.crc is None and fresh.crcs is None
         v3 = touch(v2, "t1")
         f3, _, _ = mgr.encode_for_save("m", 3, v3)
         mgr.decode_for_load("m", f3)
         mgr.forget_held("m")
-        assert "m" not in mgr._held_blob and "m" not in mgr._decoded
+        assert "m" not in mgr._held_base
         with pytest.raises(DeltaBaseError):
             mgr.decode_for_load("m", f3)
 
@@ -468,9 +540,12 @@ class TestHeldBaseLifetime:
         # An equal blob that is not the decode's own output (say, the
         # producer-retained fallback) starts with nothing known.
         mgr.register_loaded("m", 2, blob2)
-        assert mgr._held_blob["m"].blob is blob2
-        assert mgr._held_blob["m"].crc is None
-        assert decoded == blob2 and "m" not in mgr._decoded
+        assert owners(mgr._held_base["m"]) == [blob2]
+        assert mgr._held_base["m"].crc is None
+        assert bytes(decoded) == blob2 and decoded.crc == zlib.crc32(blob2)
+        # The decode's own output is adopted as is, CRCs and all.
+        mgr.register_loaded("m", 2, decoded)
+        assert mgr._held_base["m"] is decoded
 
     def test_same_length_different_base_is_a_base_error(self):
         mgr = manager()

@@ -173,7 +173,7 @@ class TestDeltaEndToEnd:
             real_loads = ser.loads
 
             def loads(blob, **kwargs):
-                carried.append(kwargs.get("blob_crc"))
+                carried.append(blob.crc)  # the reconstruction's out-CRC
                 return real_loads(blob, **kwargs)
 
             ser.loads = loads

@@ -364,3 +364,35 @@ class TestCorruptLoadRejection:
         assert consumer._buffer.swaps_rejected == 1
         assert viper.handler.stats.snapshot().swaps_rejected == 1
         viper.close()
+
+    def test_garbled_tensor_length_in_an_unchecksummed_blob_is_rejected(self):
+        # An h5py-like blob carries no checksum: the packed-tensor parser
+        # is the only check, and a length that is not a whole number of
+        # elements is a corruption like any other (counted, retried, the
+        # swap rejected), not a plain storage error.
+        import struct
+
+        from repro import TransferStrategy
+        from repro.dnn.serialization import H5LikeSerializer
+        from repro.errors import IntegrityError, RetriesExhausted
+
+        kw = dict(mode=CaptureMode.SYNC, strategy=TransferStrategy.HOST_TO_HOST)
+        with Viper(serializer=H5LikeSerializer()) as viper:
+            consumer = viper.consumer(model_builder=builder)
+            state = builder().state_dict()
+            viper.save_weights("m", state, **kw)
+            consumer.apply_update("m")
+            state["d/W"][...] = 5.0
+            res = viper.save_weights("m", state, **kw)
+            store = viper.consumer_node.dram
+            blob, _ = store.get(res.record.path)
+            raw_len = struct.pack("<Q", state["d/W"].nbytes)  # 8 B
+            assert blob.count(raw_len) == 1
+            store.put(res.record.path, blob.replace(raw_len, struct.pack("<Q", 9)))
+            with pytest.raises(RetriesExhausted) as info:
+                consumer.apply_update("m")
+            assert isinstance(info.value.__cause__, IntegrityError)
+            snap = viper.handler.stats.snapshot()
+            assert snap.corruptions == snap.retries + 1 > 1
+            assert snap.swaps_rejected == 1
+            assert consumer.current_version == 1
