@@ -1,6 +1,6 @@
 # Convenience targets for the Viper reproduction.
 
-.PHONY: install test lint lint-local chaos bench bench-delta bench-overload bench-e2e examples experiments clean
+.PHONY: install test lint lint-local chaos bench bench-delta bench-overload bench-e2e bench-pairs examples experiments clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -54,6 +54,15 @@ LABEL ?= $(shell git describe --always --dirty 2>/dev/null || echo unlabelled)
 bench-e2e:
 	python3 benchmarks/e2e/run.py --seed $(SEED) --out benchmarks/results/BENCH_e2e.json
 	python3 benchmarks/trajectory.py --label "$(LABEL)"
+
+# N alternating untraced runs of one workload, this checkout against BASE
+# (exported with git archive), then compare.py and the pair win counts.
+#   make bench-pairs W=full_update N=10 BASE=HEAD~1 SEED=1
+W ?= full_update
+N ?= 10
+BASE ?= HEAD
+bench-pairs:
+	python3 benchmarks/pairs.py --workload $(W) --n $(N) --base $(BASE) --seed $(SEED)
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; python $$ex || exit 1; done

@@ -195,7 +195,12 @@ class Viper:
         return self.handler.save_weights(model_name, model_weights, **kwargs)
 
     def load_weights(self, model_name: str, version: Optional[int] = None) -> LoadResult:
-        """Load an updated model (consumer interface)."""
+        """Load an updated model (consumer interface).
+
+        The returned ``state`` is read-only arrays over the verified
+        checkpoint bytes in every configuration: writing into one raises
+        ``ValueError``.  Copy a tensor (``np.array(t)``) to modify it.
+        """
         return self.handler.load_weights(model_name, version)
 
     # -- role views --------------------------------------------------------
@@ -408,16 +413,14 @@ class ViperConsumer:
     def _place(self, model, result: LoadResult) -> None:
         """Load a verified state into a (non-serving) model replica.
 
-        With the pipeline knob the state is read-only views over the
-        verified blob, and the replica adopts them as they are
-        (``copy=False``): no byte is copied between the verified blob and
-        the served model.  The default path copies into the replica's own
-        writable arrays.
+        The state is read-only views over the verified blob (or the delta
+        reconstruction's segments), and the replica adopts every aligned
+        view as it is (``copy=False``): no byte is copied between the
+        verified blob and the served model.  A tensor at an unaligned
+        offset is copied once into the replica's own aligned array, so
+        no predict reads unaligned weights.
         """
-        if self.viper.handler.pipeline.enabled:
-            model.load_state_dict(result.state, copy=False)
-        else:
-            model.load_state_dict(result.state)
+        model.load_state_dict(result.state, copy=False)
 
     def apply_update(self, model_name: str, version: Optional[int] = None) -> LoadResult:
         """Load a checkpoint and atomically swap it into serving."""

@@ -10,9 +10,8 @@
 - :mod:`engine` — the one background worker class; the handler runs
   one instance for asynchronous delivery and one flushing historical
   checkpoints to the PFS for fault tolerance.
-- :mod:`pipeline` — the chunked-transfer knob, whose stage overlap is
-  a simulated law and whose wall-clock effect is the zero-copy load,
-  and the one-pass ``serialize_pipelined``.
+- :mod:`pipeline` — the chunked-transfer knob, which drives only the
+  simulated stage-overlap law, and the one-pass ``serialize_pipelined``.
 - :mod:`delta` — the delta wire path (positional reuse/literal recipe
   frames checked by CRC-32, DeltaManager negotiation); the one mechanism
   that ships only what changed.

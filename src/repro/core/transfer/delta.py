@@ -348,15 +348,21 @@ def decode_frame(frame, base_blob: Optional[bytes]) -> bytes:
     ``base_blob``: it is CRC'd whole, and the result is joined.
     """
     base = Segments.of(base_blob) if base_blob is not None else None
-    out, _ = _reconstruct(frame, base)
-    return bytes(out)
+    parts, _, _, _ = _reconstruct(frame, base)
+    # The one copy of every byte: literals straight out of the frame.
+    return b"".join(view for part in parts for view in _views(part))
 
 
-def _fold(views: Sequence[memoryview], crcs: Sequence[int]) -> int:
-    """CRC-32 of the concatenated ``views`` from their own CRCs."""
+def _views(part) -> Sequence[memoryview]:
+    """The views a reconstruction part is made of (see :func:`_reconstruct`)."""
+    return part if isinstance(part, list) else (part,)
+
+
+def _fold(lengths: Iterable[int], crcs: Sequence[int]) -> int:
+    """CRC-32 of consecutive pieces from their lengths and own CRCs."""
     crc = 0
-    for view, piece_crc in zip(views, crcs):
-        crc = crc32_combine(crc, piece_crc, len(view))
+    for length, piece_crc in zip(lengths, crcs):
+        crc = crc32_combine(crc, piece_crc, length)
     return crc
 
 
@@ -375,23 +381,26 @@ def _cut(base: Segments, cuts: Sequence[int]) -> Segments:
             k += 1
         views.append(view[lo:])
     crcs = [zlib.crc32(view) for view in views]
-    return Segments(views, crcs, _fold(views, crcs))
+    return Segments(views, crcs, _fold(map(len, views), crcs))
 
 
 def _reconstruct(
     frame, base: Optional[Segments]
-) -> Tuple[Segments, Optional[Segments]]:
-    """:func:`decode_frame` against a held base, without joining it.
+) -> Tuple[list, List[int], int, Optional[Segments]]:
+    """:func:`decode_frame` against a held base, copying nothing.
 
-    Returns the reconstruction as a :class:`Segments` table carrying its
-    segments' CRCs and the verified out-CRC, and — when ``base`` carried
-    no CRC table — the base cut along this frame's runs with the CRCs
-    read on the way (else None).  Reuse runs are the base's own segments,
-    each literal run is copied once into a segment of its own, and the
-    out-CRC is folded from the segments' CRCs.  Bytes read: the literals,
-    a base segment only where a run boundary cuts it, and a base without
-    a CRC table once, whole, to check it against the frame's base CRC.
-    Nothing is committed here, so a failed decode leaves no trace.
+    Returns ``(parts, crcs, out_crc, learned)``: the reconstruction in
+    write order, where a part is a base segment (a view) or a literal run
+    (a list of views over ``frame``), ``crcs[i]`` the CRC-32 of part
+    ``i``, the verified out-CRC folded from them, and — when ``base``
+    carried no CRC table — the base cut along this frame's runs with the
+    CRCs read on the way (else None).  The caller makes the one copy of
+    the literals: the bare decoder into its joined blob, the held table
+    into a segment per run, so neither keeps the frame alive.  Bytes
+    read: the literals, a base segment only where a run boundary cuts
+    it, and a base without a CRC table once, whole, to check it against
+    the frame's base CRC.  Nothing is committed here, so a failed decode
+    leaves no trace.
     """
     info = frame_info(frame)
     mv = memoryview(frame)
@@ -461,26 +470,28 @@ def _reconstruct(
                 f"held base does not match the frame's negotiated base "
                 f"(CRC {base.crc:#010x} vs {info['base_crc']:#010x})"
             )
-    views: List[memoryview] = []
+    parts: list = []
     crcs: List[int] = []
     for start, end, literals in runs:
         if literals is not None:
-            data = b"".join(literals)  # the frame is not kept alive
-            views.append(memoryview(data))
-            crcs.append(zlib.crc32(data))
+            crc = 0
+            for literal in literals:
+                crc = zlib.crc32(literal, crc)
+            parts.append(literals)
+            crcs.append(crc)
             continue
         i = bisect_right(base.starts, start) - 1
         while i < len(base.views) and base.starts[i] < end:
             seg_start, view = base.starts[i], base.views[i]
             if start <= seg_start and seg_start + len(view) <= end:
-                views.append(view)
+                parts.append(view)
                 crcs.append(base.crcs[i])
             else:  # the run boundary cuts this segment: read the part
                 part = view[max(start - seg_start, 0) : end - seg_start]
-                views.append(part)
+                parts.append(part)
                 crcs.append(zlib.crc32(part))
             i += 1
-    actual = _fold(views, crcs)
+    actual = _fold((sum(map(len, _views(part))) for part in parts), crcs)
     if actual != info["out_crc"]:
         raise IntegrityError(
             f"reconstructed blob CRC mismatch: frame says "
@@ -488,7 +499,7 @@ def _reconstruct(
             expected=info["out_crc"],
             actual=actual,
         )
-    return Segments(views, crcs, actual), learned
+    return parts, crcs, actual, learned
 
 
 class _ProducerEntry:
@@ -681,7 +692,16 @@ class DeltaManager:
         """
         with self._lock:
             base = self._held_base.get(model_name)
-        out, learned = _reconstruct(frame, base)
+        parts, crcs, crc, learned = _reconstruct(frame, base)
+        # A literal run is copied once into a segment of its own, so the
+        # table the consumer holds keeps no frame alive.
+        out = Segments(
+            [
+                memoryview(b"".join(part)) if isinstance(part, list) else part
+                for part in parts
+            ],
+            crcs, crc,
+        )
         if learned is not None:
             with self._lock:
                 if self._held_base.get(model_name) is base:

@@ -110,7 +110,13 @@ class UpdateResult:
 
 @dataclass(frozen=True)
 class LoadResult:
-    """Outcome of one load request."""
+    """Outcome of one load request.
+
+    ``state`` is read-only views over the verified blob (or the delta
+    reconstruction's segments), whatever the deployment's knobs: the
+    load copies no tensor, and a caller that wants to modify one copies
+    it first.
+    """
 
     model_name: str
     version: int
@@ -392,11 +398,7 @@ class ModelWeightsHandler:
                         dedup_ratio=round(dstats.dedup_hit_ratio, 4),
                     )
             else:
-                with self.tracer.span(
-                    "handler.serialize",
-                    track="producer",
-                    pipelined=self.pipeline.enabled,
-                ):
+                with self.tracer.span("handler.serialize", track="producer"):
                     if self.delta.enabled:
                         # The durable root always ships the self-contained
                         # blob; retain it so later volatile-tier saves can
@@ -737,18 +739,14 @@ class ModelWeightsHandler:
                 except IntegrityError:
                     self.stats.record_corruption(location)
                     raise
-        with self.tracer.span(
-            "handler.deserialize",
-            track="consumer",
-            pipelined=self.pipeline.enabled,
-        ):
+        with self.tracer.span("handler.deserialize", track="consumer"):
             try:
-                # Zero-copy fast path: the pipelined consumer reads the
-                # weights in place (read-only views over the staged blob or
-                # the reconstruction's segments).  A reconstruction carries
-                # its verified out-CRC, so the inner v2 check derives its
-                # CRC instead of re-reading.
-                state = self.serializer.loads(blob, copy=not self.pipeline.enabled)
+                # Every load reads the weights in place: read-only views
+                # over the verified blob or the reconstruction's segments,
+                # whatever the pipeline knob says.  A reconstruction
+                # carries its verified out-CRC, so the inner v2 check
+                # derives its CRC instead of re-reading.
+                state = self.serializer.loads(blob, copy=False)
             except IntegrityError:
                 self.stats.record_corruption(location)
                 raise

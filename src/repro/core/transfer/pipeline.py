@@ -8,16 +8,15 @@ monolithic save path's serialize.
   ``Viper(pipeline=...)``, the strategies, and the
   :class:`~repro.core.transfer.handler.ModelWeightsHandler`.
 
-On the wall clock the knob turns on the zero-copy load: no copy from the
-verified blob to the served model (``Serializer.loads(..., copy=False)``
-returns read-only views over the blob, and ``ViperConsumer`` rebinds the
-model's parameters to them with ``load_state_dict(state, copy=False)``).
-Its stage overlap lives in the *simulated* law:
+The knob drives one thing: the *simulated* stage-overlap law,
 :meth:`repro.substrates.network.links.LinkSpec.pipelined_transfer_time`
 and :func:`repro.core.transfer.strategies.compute_timings` (``pipeline=``
-argument).  No wall-clock executor overlaps the serialize copy: in one
+argument).  On the wall clock the save and the load are the same whatever
+it says.  No wall-clock executor overlaps the serialize copy: in one
 Python process the GIL serialises it, and a threaded assemble measured
-slower than the plain join.
+slower than the plain join.  Every load reads the verified blob in place
+(``Serializer.loads(..., copy=False)``), and the consumer's replica
+adopts each aligned view (``load_state_dict(state, copy=False)``).
 
 Chunking helps when the payload is large relative to per-chunk setup
 cost (big models, high-latency links); it hurts when per-message
@@ -49,9 +48,11 @@ DEFAULT_CHUNK_BYTES = 256 * MB
 class PipelineConfig:
     """The pipeline knob threaded through Viper -> strategies -> handler.
 
-    ``enabled=False`` (the default) keeps the original monolithic path
-    byte-for-byte intact; the pipeline is strictly opt-in.  ``lanes`` is
-    the number of parallel lanes the simulated law issues chunks on.
+    It selects the simulated timing law only: ``enabled=True`` prices a
+    transfer as ``chunk_bytes`` chunks whose stages overlap on ``lanes``
+    parallel lanes; ``enabled=False`` (the default) prices it
+    monolithically.  The bytes saved, shipped and loaded are the same
+    either way.
     """
 
     enabled: bool = False

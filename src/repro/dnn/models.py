@@ -87,9 +87,12 @@ class Sequential:
 
         ``copy=True`` writes the values into the model's own arrays.
         ``copy=False`` rebinds each parameter to the given array instead
-        (same dtype), so a consumer serving read-only views over a verified
-        checkpoint blob copies nothing; the model then shares, and cannot
-        write, those arrays.
+        when the array has the parameter's dtype and is aligned, so a
+        consumer serving read-only views over a verified checkpoint blob
+        copies nothing; the model then shares, and cannot write, those
+        arrays.  A value of another dtype, or a view at an unaligned
+        offset (which every predict would read slowly), is copied into
+        an aligned array of the model's own, as with ``copy=True``.
         """
         own = {
             f"{layer.name}/{p}": (layer, p)
@@ -110,7 +113,7 @@ class Sequential:
                 raise ConfigurationError(
                     f"shape mismatch for {key}: {current.shape} vs {value.shape}"
                 )
-            if not copy and value.dtype == current.dtype:
+            if not copy and value.dtype == current.dtype and value.flags.aligned:
                 layer.params[pname] = value
             elif current.flags.writeable:
                 current[...] = value

@@ -1,5 +1,6 @@
 """Viper facade and role-view tests."""
 
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.core.transfer.pipeline import PipelineConfig
 from repro.errors import ServingError
 from repro.dnn.layers import Dense
 from repro.dnn.models import Sequential
+from repro.dnn.serialization import ViperSerializer
 
 
 def tiny_model_builder():
@@ -30,6 +32,18 @@ class TestViperFacade:
             assert loaded.version == result.version
             for key in state:
                 np.testing.assert_array_equal(loaded.state[key], state[key])
+
+    def test_loaded_state_is_read_only_views_by_default(self):
+        with Viper() as viper:
+            state = tiny_state()
+            viper.save_weights("m", state, mode=CaptureMode.SYNC)
+            loaded = viper.load_weights("m")
+            for key in state:
+                with pytest.raises(ValueError):
+                    loaded.state[key][...] = 0.0
+            again = viper.load_weights("m")
+            for key in state:
+                assert again.state[key].tobytes() == state[key].tobytes()
 
     def test_context_manager_closes(self):
         viper = Viper()
@@ -158,8 +172,19 @@ def params(model):
 
 
 class TestZeroCopyConsumer:
-    """With the pipeline knob no byte is copied between the verified blob
-    and the served model; without it the model keeps private copies."""
+    """Every consumer load reads the verified bytes in place, whatever the
+    pipeline knob says: the replica adopts each aligned view and copies
+    only a tensor at an unaligned offset into an aligned array of its own.
+    The wide model has one of each: ``d/W``'s payload starts 2 bytes past
+    a 4-byte boundary of the blob, ``d/b``'s on one."""
+
+    ALIGNED, UNALIGNED = "d/b", "d/W"
+
+    def test_the_model_has_one_aligned_and_one_unaligned_tensor(self):
+        ser = ViperSerializer()
+        state = ser.loads(ser.dumps(wide_model_builder().state_dict()), copy=False)
+        assert state[self.ALIGNED].flags.aligned
+        assert not state[self.UNALIGNED].flags.aligned
 
     @contextmanager
     def _placed(self, pipelined, op):
@@ -184,22 +209,49 @@ class TestZeroCopyConsumer:
             yield model, v2, [np.frombuffer(v, dtype=np.uint8) for v in held.views]
 
     @pytest.mark.parametrize("op", ["apply_update", "stage_candidate"])
-    def test_pipelined_model_serves_the_verified_blob(self, op):
-        with self._placed(True, op) as (model, v2, held):
-            for key, array in params(model).items():
-                assert not array.flags.writeable, key
-                assert any(np.shares_memory(array, seg) for seg in held), key
-                with pytest.raises(ValueError):
-                    array[...] = 0.0
-                assert array.tobytes() == v2[key].tobytes(), key
+    @pytest.mark.parametrize("pipelined", [True, False], ids=["pipeline", "default"])
+    def test_aligned_tensor_is_the_verified_bytes(self, pipelined, op):
+        with self._placed(pipelined, op) as (model, v2, held):
+            array = params(model)[self.ALIGNED]
+            assert not array.flags.writeable
+            assert any(np.shares_memory(array, seg) for seg in held)
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+            assert array.tobytes() == v2[self.ALIGNED].tobytes()
 
     @pytest.mark.parametrize("op", ["apply_update", "stage_candidate"])
-    def test_default_model_keeps_private_copies(self, op):
-        with self._placed(False, op) as (model, v2, held):
-            for key, array in params(model).items():
-                assert array.flags.writeable, key
-                assert not any(np.shares_memory(array, seg) for seg in held), key
-                assert array.tobytes() == v2[key].tobytes(), key
+    @pytest.mark.parametrize("pipelined", [True, False], ids=["pipeline", "default"])
+    def test_unaligned_tensor_is_an_aligned_private_copy(self, pipelined, op):
+        with self._placed(pipelined, op) as (model, v2, held):
+            array = params(model)[self.UNALIGNED]
+            assert array.flags.writeable and array.flags.aligned
+            assert not any(np.shares_memory(array, seg) for seg in held)
+            assert array.tobytes() == v2[self.UNALIGNED].tobytes()
+
+    def test_default_apply_allocates_no_full_size_buffer(self):
+        # Five-character tensor names ("l00/W") put every payload of this
+        # 4 MB model on a 4-byte boundary, so the replica adopts all of it.
+        def builder():
+            return Sequential(
+                [Dense(512, name=f"l{i:02d}") for i in range(4)],
+                input_shape=(512,), seed=3,
+            )
+
+        state = builder().state_dict()
+        blob_bytes = len(ViperSerializer().dumps(state))
+        with Viper() as viper:
+            consumer = viper.consumer(model_builder=builder)
+            viper.save_weights("m", state, mode=CaptureMode.SYNC)
+            tracemalloc.start()
+            try:
+                consumer.apply_update("m")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < blob_bytes / 2
+            for key, array in params(consumer.current_model()).items():
+                assert not array.flags.writeable, key
+                assert array.tobytes() == state[key].tobytes(), key
 
     def test_copying_load_after_a_zero_copy_one(self):
         model = wide_model_builder()

@@ -90,6 +90,38 @@ class TestStateDict:
         with pytest.raises(ConfigurationError):
             model.load_state_dict(state)
 
+    @staticmethod
+    def _read_only_views(state, misalign):
+        """``state`` as read-only views over ``bytes``; a tensor named in
+        ``misalign`` starts 2 bytes into its buffer, so it is unaligned."""
+        views = {}
+        for key, value in state.items():
+            pad = 2 if key in misalign else 0
+            buf = b"\0" * pad + value.tobytes()
+            views[key] = np.frombuffer(buf, value.dtype, offset=pad).reshape(
+                value.shape
+            )
+        return views
+
+    def test_zero_copy_load_adopts_only_aligned_views(self):
+        a, b = make_model(seed=1), make_model(seed=2)
+        views = self._read_only_views(a.state_dict(), misalign={"d1/W"})
+        assert views["d1/b"].flags.aligned and not views["d1/W"].flags.aligned
+        for _ in range(2):  # a second load finds read-only params in place
+            b.load_state_dict(views, copy=False)
+            params = {
+                f"{layer.name}/{p}": v
+                for layer in b.layers
+                for p, v in layer.params.items()
+            }
+            for key, value in views.items():
+                np.testing.assert_array_equal(params[key], value)
+                if key == "d1/W":
+                    assert params[key] is not value
+                    assert params[key].flags.aligned and params[key].flags.writeable
+                else:
+                    assert params[key] is value
+
     def test_loaded_weights_change_predictions(self):
         a, b = make_model(seed=1), make_model(seed=2)
         x = RNG.standard_normal((4, 4)).astype(np.float32)
