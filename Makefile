@@ -55,9 +55,10 @@ bench-e2e:
 	python3 benchmarks/e2e/run.py --seed $(SEED) --out benchmarks/results/BENCH_e2e.json
 	python3 benchmarks/trajectory.py --label "$(LABEL)"
 
-# N alternating untraced runs of one workload, this checkout against BASE
-# (exported with git archive), then compare.py and the pair win counts.
-#   make bench-pairs W=full_update N=10 BASE=HEAD~1 SEED=1
+# N alternating untraced runs of each workload in W, this checkout against
+# BASE (exported with git archive), then compare.py and the pair win
+# counts per workload.
+#   make bench-pairs W="serve_steady coupled_train_serve" N=10 BASE=HEAD~1 SEED=1
 W ?= full_update
 N ?= 10
 BASE ?= HEAD

@@ -1,20 +1,23 @@
 """Paired benchmark runs: this checkout against a git revision.
 
     python3 benchmarks/pairs.py --workload full_update --n 10 --base HEAD~1
-    make bench-pairs W=full_update N=10 BASE=HEAD~1 SEED=0
+    python3 benchmarks/pairs.py --workload serve_steady coupled_train_serve
+    make bench-pairs W="serve_steady coupled_train_serve" N=10 BASE=HEAD~1
 
 The revision ``--base`` is exported with ``git archive`` into a temporary
 tree; the *new* side is this checkout as it stands, uncommitted edits
-included.  Each of the ``--n`` pairs runs ``benchmarks/e2e/run.py
+included.  Each workload named by ``--workload`` gets ``--n`` pairs, one
+workload after the other.  A pair runs ``benchmarks/e2e/run.py
 --workload W --seed S --trace 0 --out ...`` once per side, each side
 from its own tree, and the side that goes first alternates from pair to
 pair, so a drift in the host's load lands on both sides alike.  The
-result files go to ``--out-dir`` (``base_<i>.json`` / ``new_<i>.json``;
-a temporary directory when not given) and are handed to
-``benchmarks/e2e/compare.py``.  Then one row per end-to-end metric
-shows each side's quartiles and median and in how many pairs the new
-run beat its base partner.  Exit code: compare.py's.  Standard library
-only.
+result files go to ``--out-dir`` (``<W>/base_<i>.json`` /
+``<W>/new_<i>.json``; a temporary directory when not given).  When a
+workload's pairs are done, its files are handed to
+``benchmarks/e2e/compare.py``, and one row per end-to-end metric shows
+each side's quartiles and median and in how many pairs the new run beat
+its base partner.  Exit code: the worst of compare.py's, one per
+workload.  Standard library only.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ SIDES = ("base", "new")
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
+    p.add_argument("--workload", required=True, nargs="+", choices=WORKLOAD_NAMES,
+                   help="one or more workloads, each run as its own --n pairs")
     p.add_argument("--n", type=int, default=10, help="pairs to run (>= 1)")
     p.add_argument("--base", default="HEAD", help="git revision to compare to")
     p.add_argument("--seed", type=int, default=0)
@@ -48,6 +52,8 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     args = p.parse_args(argv)
     if args.n < 1:
         p.error(f"--n must be >= 1, got {args.n}")
+    if len(set(args.workload)) != len(args.workload):
+        p.error(f"a workload is named twice: {' '.join(args.workload)}")
     return args
 
 
@@ -55,6 +61,12 @@ def schedule(n: int) -> List[Tuple[int, str]]:
     """``(pair, side)`` in run order: pair 0 runs base first, pair 1 new
     first, and so on."""
     return [(i, SIDES[(i + k) % 2]) for i in range(n) for k in (0, 1)]
+
+
+def plan(workloads: Sequence[str], n: int) -> List[Tuple[str, int, str]]:
+    """``(workload, pair, side)`` in run order: all of the first
+    workload's pairs, then all of the next one's."""
+    return [(w, i, side) for w in workloads for i, side in schedule(n)]
 
 
 def run_command(tree: pathlib.Path, workload: str, seed: int,
@@ -113,27 +125,31 @@ def report(files: dict, workload: str) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_args(argv)
+    codes = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         base_tree = pathlib.Path(tmp) / "base"
         base_tree.mkdir()
         export(args.base, base_tree)
         out_dir = pathlib.Path(args.out_dir or pathlib.Path(tmp) / "results")
-        out_dir.mkdir(parents=True, exist_ok=True)
         trees = {"base": base_tree, "new": ROOT}
-        files = {side: [] for side in SIDES}
-        for i, side in schedule(args.n):
-            out = out_dir / f"{side}_{i}.json"
-            print(f"== pair {i + 1}/{args.n}: {side}", flush=True)
+        files = {w: {side: [] for side in SIDES} for w in args.workload}
+        for workload, i, side in plan(args.workload, args.n):
+            out = out_dir / workload / f"{side}_{i}.json"
+            out.parent.mkdir(parents=True, exist_ok=True)
+            print(f"== {workload} pair {i + 1}/{args.n}: {side}", flush=True)
             subprocess.run(
-                run_command(trees[side], args.workload, args.seed, out),
+                run_command(trees[side], workload, args.seed, out),
                 check=True, cwd=trees[side], stdout=subprocess.DEVNULL,
             )
-            files[side].append(out)
-        code = compare.main(
-            ["--base", *map(str, files["base"]), "--new", *map(str, files["new"])]
-        )
-        report(files, args.workload)
-    return code
+            done = files[workload]
+            done[side].append(out)
+            if len(done["base"]) == len(done["new"]) == args.n:
+                codes.append(compare.main([
+                    "--base", *map(str, done["base"]),
+                    "--new", *map(str, done["new"]),
+                ]))
+                report(done, workload)
+    return max(codes)
 
 
 if __name__ == "__main__":

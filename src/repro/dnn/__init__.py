@@ -20,13 +20,10 @@ from repro.dnn.layers import (
     Dense,
     Dropout,
     Flatten,
-    GlobalAveragePooling1D,
     Layer,
     MaxPool1D,
     MaxPool2D,
     ReLU,
-    Sigmoid,
-    Tanh,
     UpSampling2D,
 )
 from repro.dnn.losses import CrossEntropyLoss, Loss, MAELoss, MSELoss
@@ -48,12 +45,9 @@ __all__ = [
     "MaxPool1D",
     "MaxPool2D",
     "UpSampling2D",
-    "GlobalAveragePooling1D",
     "Flatten",
     "Dropout",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Loss",
     "CrossEntropyLoss",
     "MSELoss",

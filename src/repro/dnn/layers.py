@@ -9,18 +9,27 @@ Conventions:
   gradient w.r.t. the input.
 - Parameters are named ``<layer_name>/<param>`` in the model state dict.
 
-The convolutions are vectorized with ``sliding_window_view`` + ``tensordot``
-(views, not copies, per the domain guides); the input-gradient loop runs
-over the kernel taps only (a handful of iterations).
+A convolution forward is one strided im2col plus one GEMM: the window
+view is built with ``as_strided`` (the shape and strides
+``sliding_window_view`` would give, without its per-call argument checks),
+transposed and reshaped into one im2col matrix and multiplied with the
+kernel as a ``(K*C, O)`` matrix by one ``np.dot`` -- the arithmetic
+``np.tensordot`` does, minus its overhead, so the outputs are bit-for-bit
+those of ``sliding_window_view`` + ``tensordot``.  The window view is kept
+for ``backward``, whose input-gradient loop runs over the kernel taps only
+(a handful of iterations).  A max-pool forward pays only for the ``max``:
+it keeps the pooled windows and ``backward`` takes their argmax, so an
+inference forward never computes one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import ConfigurationError
 from repro.dnn import initializers
@@ -33,12 +42,9 @@ __all__ = [
     "MaxPool1D",
     "MaxPool2D",
     "UpSampling2D",
-    "GlobalAveragePooling1D",
     "Flatten",
     "Dropout",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
 ]
 
 _counters = itertools.count(1)
@@ -164,14 +170,24 @@ class Conv1D(Layer):
         self._in_len = x.shape[1]
         if pad:
             x = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-        # windows: (N, L_out, C, K) — a strided view, no copy.
-        windows = sliding_window_view(x, self.kernel_size, axis=1)
-        self._windows = windows
-        # y[n, i, o] = sum_{c,k} windows[n, i, c, k] * W[k, c, o]
-        return (
-            np.tensordot(windows, self.params["W"], axes=([3, 2], [0, 1]))
-            + self.params["b"]
+        k = self.kernel_size
+        n, length, c = x.shape
+        l_out = length - k + 1
+        if l_out < 1:
+            raise ValueError(f"{self.name}: input length {length} < kernel {k}")
+        s_n, s_l, s_c = x.strides
+        # windows[n, i, c, t] = x[n, i + t, c]: an (N, L_out, C, K)
+        # read-only strided view, no copy.
+        windows = as_strided(
+            x, (n, l_out, c, k), (s_n, s_l, s_c, s_l), writeable=False
         )
+        self._windows = windows
+        # y[n, i, o] = sum_{t,c} windows[n, i, c, t] * W[t, c, o]: im2col
+        # rows (n, i) by columns (t, c), then one GEMM.
+        w = self.params["W"]
+        cols = windows.transpose(0, 1, 3, 2).reshape(n * l_out, k * c)
+        y = np.dot(cols, w.reshape(k * c, self.filters))
+        return y.reshape(n, l_out, self.filters) + self.params["b"]
 
     def backward(self, dout):
         windows = self._windows
@@ -242,14 +258,28 @@ class Conv2D(Layer):
         if pad:
             x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
         k = self.kernel_size
-        # (N, H_out, W_out, C, K, K) strided view.
-        windows = sliding_window_view(x, (k, k), axis=(1, 2))
-        self._windows = windows
-        # y[n,i,j,o] = sum_{c,p,q} win[n,i,j,c,p,q] * W[p,q,c,o]
-        return (
-            np.tensordot(windows, self.params["W"], axes=([4, 5, 3], [0, 1, 2]))
-            + self.params["b"]
+        n, h, w_in, c = x.shape
+        h_out, w_out = h - k + 1, w_in - k + 1
+        if h_out < 1 or w_out < 1:
+            raise ValueError(f"{self.name}: input {h}x{w_in} < kernel {k}x{k}")
+        s_n, s_h, s_w, s_c = x.strides
+        # windows[n, i, j, c, p, q] = x[n, i + p, j + q, c]: an
+        # (N, H_out, W_out, C, K, K) read-only strided view.
+        windows = as_strided(
+            x,
+            (n, h_out, w_out, c, k, k),
+            (s_n, s_h, s_w, s_c, s_h, s_w),
+            writeable=False,
         )
+        self._windows = windows
+        # y[n,i,j,o] = sum_{p,q,c} win[n,i,j,c,p,q] * W[p,q,c,o]: im2col
+        # rows (n, i, j) by columns (p, q, c), then one GEMM.
+        w = self.params["W"]
+        cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
+            n * h_out * w_out, k * k * c
+        )
+        y = np.dot(cols, w.reshape(k * k * c, self.filters))
+        return y.reshape(n, h_out, w_out, self.filters) + self.params["b"]
 
     def backward(self, dout):
         windows = self._windows
@@ -281,7 +311,7 @@ class MaxPool1D(Layer):
         if pool_size <= 0:
             raise ConfigurationError(f"{self.name}: pool_size must be positive")
         self.pool_size = pool_size
-        self._argmax: Optional[np.ndarray] = None
+        self._windows: Optional[np.ndarray] = None
         self._in_shape: Tuple[int, ...] = ()
 
     def output_shape(self, input_shape):
@@ -294,7 +324,7 @@ class MaxPool1D(Layer):
         l_out = length // p
         self._in_shape = x.shape
         view = x[:, : l_out * p, :].reshape(n, l_out, p, c)
-        self._argmax = view.argmax(axis=2)
+        self._windows = view
         return view.max(axis=2)
 
     def backward(self, dout):
@@ -304,7 +334,7 @@ class MaxPool1D(Layer):
         # Scatter via absolute indices: a reshape of the truncated slice
         # would copy (non-contiguous) and silently drop the gradients.
         ni, li, ci = np.ogrid[:n, :l_out, :c]
-        dx[ni, li * p + self._argmax, ci] = dout
+        dx[ni, li * p + self._windows.argmax(axis=2), ci] = dout
         return dx
 
 
@@ -316,7 +346,7 @@ class MaxPool2D(Layer):
         if pool_size <= 0:
             raise ConfigurationError(f"{self.name}: pool_size must be positive")
         self.pool_size = pool_size
-        self._argmax: Optional[np.ndarray] = None
+        self._windows: Optional[np.ndarray] = None
         self._in_shape: Tuple[int, ...] = ()
 
     def output_shape(self, input_shape):
@@ -331,7 +361,7 @@ class MaxPool2D(Layer):
         self._in_shape = x.shape
         view = x[:, : ho * p, : wo * p, :].reshape(n, ho, p, wo, p, c)
         flat = view.transpose(0, 1, 3, 2, 4, 5).reshape(n, ho, wo, p * p, c)
-        self._argmax = flat.argmax(axis=3)
+        self._windows = flat
         return flat.max(axis=3)
 
     def backward(self, dout):
@@ -340,8 +370,9 @@ class MaxPool2D(Layer):
         dx = np.zeros(self._in_shape, dtype=dout.dtype)
         # The flat argmax indexes a (p, p) window in row-major order;
         # scatter through absolute coordinates (see MaxPool1D.backward).
-        rows = self._argmax // p
-        cols = self._argmax % p
+        argmax = self._windows.argmax(axis=3)
+        rows = argmax // p
+        cols = argmax % p
         ni, hi, wi, ci = np.ogrid[:n, :ho, :wo, :c]
         dx[ni, hi * p + rows, wi * p + cols, ci] = dout
         return dx
@@ -370,28 +401,6 @@ class UpSampling2D(Layer):
         return dout.reshape(n, h // f, f, w // f, f, c).sum(axis=(2, 4))
 
 
-class GlobalAveragePooling1D(Layer):
-    """Mean over the length axis: ``(N, L, C) -> (N, C)``."""
-
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name)
-        self._in_len = 0
-
-    def output_shape(self, input_shape):
-        _length, channels = input_shape
-        return (channels,)
-
-    def forward(self, x, training=False):
-        self._in_len = x.shape[1]
-        return x.mean(axis=1)
-
-    def backward(self, dout):
-        n, c = dout.shape
-        return np.broadcast_to(
-            dout[:, None, :] / self._in_len, (n, self._in_len, c)
-        ).copy()
-
-
 class Flatten(Layer):
     """Flatten all per-sample axes to one feature vector."""
 
@@ -404,7 +413,8 @@ class Flatten(Layer):
 
     def forward(self, x, training=False):
         self._in_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        # Not reshape(N, -1): -1 is ambiguous for an empty batch.
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
     def backward(self, dout):
         return dout.reshape(self._in_shape)
@@ -448,40 +458,3 @@ class ReLU(Layer):
 
     def backward(self, dout):
         return dout * self._mask
-
-
-class Sigmoid(Layer):
-    """Logistic sigmoid with a numerically stable piecewise forward."""
-
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name)
-        self._y: Optional[np.ndarray] = None
-
-    def forward(self, x, training=False):
-        # Numerically stable piecewise sigmoid.
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
-        self._y = y
-        return y
-
-    def backward(self, dout):
-        y = self._y
-        return dout * y * (1.0 - y)
-
-
-class Tanh(Layer):
-    """Hyperbolic-tangent activation."""
-
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name)
-        self._y: Optional[np.ndarray] = None
-
-    def forward(self, x, training=False):
-        self._y = np.tanh(x)
-        return self._y
-
-    def backward(self, dout):
-        return dout * (1.0 - self._y**2)

@@ -159,6 +159,14 @@ class Sequential:
         return x
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+        """Inference forward in batches of at most ``batch_size``.
+
+        The result never shares memory with ``x``: a one-batch forward
+        that hands back a view of it (``Flatten``, ``Dropout``) is copied.
+        """
+        if x.shape[0] <= batch_size:
+            out = self.forward(x, training=False)
+            return out.copy() if np.may_share_memory(out, x) else out
         outs = []
         for start in range(0, x.shape[0], batch_size):
             outs.append(self.forward(x[start : start + batch_size], training=False))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.dnn.layers import Dense, ReLU
+from repro.apps.candle import build_tc1
+from repro.dnn.layers import Dense, Dropout, Flatten, ReLU
 from repro.dnn.losses import CrossEntropyLoss
 from repro.dnn.models import Sequential
 from repro.dnn.optimizers import SGD
@@ -139,6 +140,20 @@ class TestComputation:
             model.predict(x, batch_size=3), model.predict(x, batch_size=10),
             rtol=1e-5,
         )
+
+    def test_predict_on_an_empty_batch(self):
+        out = build_tc1().predict(np.zeros((0, 64, 1), np.float32))
+        assert out.shape == (0, 18)
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_predict_shares_no_memory_with_its_input(self, n):
+        # Flatten and an inference Dropout hand back views of x; predict
+        # must still return an array of its own, one batch or several.
+        model = Sequential([Flatten(), Dropout(0.5)], input_shape=(2, 3))
+        x = RNG.standard_normal((n, 2, 3)).astype(np.float32)
+        out = model.predict(x, batch_size=3)
+        assert not np.may_share_memory(out, x)
+        np.testing.assert_array_equal(out, x.reshape(n, 6))
 
     def test_train_batch_reduces_loss(self):
         model = make_model()

@@ -26,11 +26,28 @@ def test_every_pair_runs_each_side_once(n):
 
 def test_defaults_and_required_workload():
     args = pairs.parse_args(["--workload", "full_update"])
+    assert args.workload == ["full_update"]
     assert (args.n, args.base, args.seed, args.out_dir) == (10, "HEAD", 0, None)
     with pytest.raises(SystemExit):
         pairs.parse_args([])
     with pytest.raises(SystemExit):
         pairs.parse_args(["--workload", "no_such_workload"])
+
+
+def test_several_workloads_each_named_once():
+    args = pairs.parse_args(["--workload", "serve_steady", "coupled_train_serve"])
+    assert args.workload == ["serve_steady", "coupled_train_serve"]
+    with pytest.raises(SystemExit):
+        pairs.parse_args(["--workload", "serve_steady", "no_such_workload"])
+    with pytest.raises(SystemExit):
+        pairs.parse_args(["--workload", "serve_steady", "serve_steady"])
+
+
+def test_workloads_run_their_pairs_in_turn():
+    order = pairs.plan(["full_update", "serve_steady"], 2)
+    assert order == [
+        ("full_update", i, side) for i, side in pairs.schedule(2)
+    ] + [("serve_steady", i, side) for i, side in pairs.schedule(2)]
 
 
 def test_at_least_one_pair():
