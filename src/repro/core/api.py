@@ -165,7 +165,8 @@ class Viper:
                 self.handler.restore_version_counters()
                 sp.set(**counts)
             self.recovery = {"replayed_ops": replayed, **counts}
-            self.handler.stats.record_recovery(replayed)
+            self.stats.count("recoveries")
+            self.stats.count("replayed_ops", replayed)
         # An armed fault plan (chaos testing) hooks this deployment's
         # tier stores for the session; close() disarms it.
         self.fault_plan = fault_plan
@@ -345,7 +346,7 @@ class ViperConsumer:
             # just re-granted.
             self.viper.broker.unsubscribe(old)
         if self._sub.needs_catchup:
-            self.viper.handler.stats.record_notification_gap()
+            self.viper.handler.stats.count("notification_gaps")
         return self._sub
 
     def current_model(self):
@@ -383,7 +384,7 @@ class ViperConsumer:
                 cause = exc if isinstance(exc, IntegrityError) else exc.__cause__
                 if isinstance(cause, IntegrityError):
                     self._buffer.record_rejection()
-                    self.viper.handler.stats.record_swap_rejected()
+                    self.viper.handler.stats.count("swaps_rejected")
                     sp.set(outcome="swap_rejected")
                 raise
             if result.record.quarantined:

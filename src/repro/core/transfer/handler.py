@@ -277,7 +277,7 @@ class ModelWeightsHandler:
                     rng=self._retry_rng,
                     tracer=self.tracer,
                     metrics=self.metrics,
-                    on_retry=lambda s, _a, _e: self.stats.record_retry(s),
+                    on_retry=lambda s, _a, _e: self.stats.count("retries", site=s),
                 )
             except RetriesExhausted as exc:
                 if self.breakers is not None:
@@ -391,7 +391,7 @@ class ModelWeightsHandler:
                         # A base was negotiated but the recipe lost: the
                         # piece grid moved, or the frame would not be
                         # smaller than the blob.
-                        self.stats.record_delta_fallback("encode")
+                        self.stats.count("delta_fallbacks", reason="encode")
                     dsp.set(
                         mode=dstats.mode,
                         wire_bytes=dstats.bytes_on_wire,
@@ -509,13 +509,15 @@ class ModelWeightsHandler:
                     # asks for the next hop only when it moves on.
                     for i, strat in enumerate(chain):
                         if i:
-                            self.stats.record_failover(chain[i - 1].value, strat.value)
+                            self.stats.count(
+                                "failovers", src=chain[i - 1].value, dst=strat.value
+                            )
                         yield f"stage.{strat.value}", strat
 
                 final, _, backoff = self._walk(hops(), put)
                 shipped = frame is not None and final is not TransferStrategy.PFS
                 if frame is not None and not shipped:
-                    self.stats.record_delta_fallback("failover")
+                    self.stats.count("delta_fallbacks", reason="failover")
                 self.stats.record_wire(
                     vbytes,
                     wire_virtual if shipped else vbytes,
@@ -676,7 +678,7 @@ class ModelWeightsHandler:
                 lambda loc: self._fetch_once(record, loc),
             )
             if walked is None:
-                self.stats.record_miss()
+                self.stats.count("misses")
                 raise ObjectNotFoundError(
                     f"no replica of {record.path!r} present in any of "
                     f"{candidates} (evicted before load?)"
@@ -734,10 +736,10 @@ class ModelWeightsHandler:
                     full = self.delta.full_blob(record.model_name, record.version)
                     if full is None:
                         raise
-                    self.stats.record_delta_fallback("missing_base")
+                    self.stats.count("delta_fallbacks", reason="missing_base")
                     blob = full
                 except IntegrityError:
-                    self.stats.record_corruption(location)
+                    self.stats.count("corruptions", location=location)
                     raise
         with self.tracer.span("handler.deserialize", track="consumer"):
             try:
@@ -748,7 +750,7 @@ class ModelWeightsHandler:
                 # derives its CRC instead of re-reading.
                 state = self.serializer.loads(blob, copy=False)
             except IntegrityError:
-                self.stats.record_corruption(location)
+                self.stats.count("corruptions", location=location)
                 raise
         if self.delta.enabled:
             # Only a fully-verified blob becomes the next negotiation

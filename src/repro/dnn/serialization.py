@@ -66,11 +66,11 @@ __all__ = [
 
 _VIPER_MAGIC = b"VIPR"
 _H5_MAGIC = b"\x89HDF"
-# Version 2 adds a CRC-32 of the packed-tensor payload to the header:
+# Version 2 carries a CRC-32 of the packed-tensor payload in the header:
 #   VIPR | <I version> | <I crc32> | payload
-# Version-1 blobs (VIPR | <I 1> | payload) still load, unverified.
+# It is the only version that loads: the checksum-free version 1 is
+# refused like any unknown version.
 _FORMAT_VERSION = 2
-_V1_PAYLOAD_OFFSET = 8
 _V2_PAYLOAD_OFFSET = 12
 _U8, _U16, _U32, _U64 = (struct.Struct(f) for f in ("<B", "<H", "<I", "<Q"))
 
@@ -404,29 +404,26 @@ class ViperSerializer(Serializer):
         if segs.nbytes < _V2_PAYLOAD_OFFSET:
             raise IntegrityError("truncated Viper checkpoint (header)")
         (version,) = struct.unpack_from("<I", head, 4)
-        if version == 1:  # legacy, no checksum to verify
-            offset = _V1_PAYLOAD_OFFSET
-        elif version == _FORMAT_VERSION:
-            (expected,) = struct.unpack_from("<I", head, 8)
-            offset = _V2_PAYLOAD_OFFSET
-            if segs.crc is None:
-                actual = segs.crc32_from(offset)
-            else:
-                # CRC is linear: crc(header + payload) = shifted
-                # crc(header) ^ crc(payload), so the payload's CRC falls
-                # out of the verified whole CRC and 12 header bytes.
-                actual = segs.crc ^ crc32_combine(
-                    zlib.crc32(head), 0, segs.nbytes - offset
-                )
-            if actual != expected:
-                raise IntegrityError(
-                    f"Viper checkpoint checksum mismatch: header says "
-                    f"{expected:#010x}, payload hashes to {actual:#010x}",
-                    expected=expected,
-                    actual=actual,
-                )
-        else:
+        if version != _FORMAT_VERSION:
             raise StorageError(f"unsupported Viper checkpoint version {version}")
+        (expected,) = struct.unpack_from("<I", head, 8)
+        offset = _V2_PAYLOAD_OFFSET
+        if segs.crc is None:
+            actual = segs.crc32_from(offset)
+        else:
+            # CRC is linear: crc(header + payload) = shifted
+            # crc(header) ^ crc(payload), so the payload's CRC falls
+            # out of the verified whole CRC and 12 header bytes.
+            actual = segs.crc ^ crc32_combine(
+                zlib.crc32(head), 0, segs.nbytes - offset
+            )
+        if actual != expected:
+            raise IntegrityError(
+                f"Viper checkpoint checksum mismatch: header says "
+                f"{expected:#010x}, payload hashes to {actual:#010x}",
+                expected=expected,
+                actual=actual,
+            )
         state, _ = _unpack_tensors(segs, offset, copy=copy)
         return state
 

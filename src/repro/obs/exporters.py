@@ -15,8 +15,11 @@ Prometheus text
     series) from a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 JSONL
-    :func:`write_jsonl_events` streams spans and/or trace events as one
-    JSON object per line, the format log-ingestion pipelines eat.
+    :func:`write_jsonl` writes any rows as one JSON object per line, the
+    format log-ingestion pipelines eat; :func:`write_jsonl_events` feeds
+    it spans and/or trace events, and every decision/event log in the
+    package (shed log, lease events, rollout decisions, lineage) goes
+    through it.
 
 Lineage
     :func:`lineage_chrome_trace` wraps a
@@ -29,9 +32,10 @@ Lineage
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import Span
@@ -46,6 +50,7 @@ __all__ = [
     "write_lineage_chrome_trace",
     "prometheus_text",
     "write_prometheus",
+    "write_jsonl",
     "write_jsonl_events",
 ]
 
@@ -314,6 +319,23 @@ def _json_default(obj: Any) -> Any:
     return str(obj)
 
 
+def write_jsonl(
+    path: str,
+    rows: Iterable[Any],
+    *,
+    sort_keys: bool = False,
+    default: Optional[Callable[[Any], Any]] = None,
+) -> int:
+    """Write each of ``rows`` as one JSON object per line (``json.dumps``
+    with ``sort_keys`` and ``default``); returns the number of lines."""
+    n = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=sort_keys, default=default) + "\n")
+            n += 1
+    return n
+
+
 def write_jsonl_events(
     path: str,
     spans: Sequence[Span] = (),
@@ -323,44 +345,32 @@ def write_jsonl_events(
 
     Returns the number of lines written.
     """
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for span in spans:
-            if not span.finished:
-                continue
-            fh.write(
-                json.dumps(
-                    {
-                        "type": "span",
-                        "name": span.name,
-                        "span_id": span.span_id,
-                        "parent_id": span.parent_id,
-                        "track": span.track,
-                        "start_sim": span.start_sim,
-                        "end_sim": span.end_sim,
-                        "sim_duration": span.sim_duration,
-                        "wall_duration": span.wall_duration,
-                        "attrs": span.attrs,
-                    },
-                    default=_json_default,
-                )
-            )
-            fh.write("\n")
-            n += 1
-        if trace is not None:
-            for event in trace:
-                fh.write(
-                    json.dumps(
-                        {
-                            "type": "event",
-                            "kind": event.kind,
-                            "actor": event.actor,
-                            "time": event.time,
-                            "data": event.data,
-                        },
-                        default=_json_default,
-                    )
-                )
-                fh.write("\n")
-                n += 1
-    return n
+    span_rows = (
+        {
+            "type": "span",
+            "name": span.name,
+            "span_id": span.span_id,
+            "parent_id": span.parent_id,
+            "track": span.track,
+            "start_sim": span.start_sim,
+            "end_sim": span.end_sim,
+            "sim_duration": span.sim_duration,
+            "wall_duration": span.wall_duration,
+            "attrs": span.attrs,
+        }
+        for span in spans
+        if span.finished
+    )
+    event_rows = (
+        {
+            "type": "event",
+            "kind": event.kind,
+            "actor": event.actor,
+            "time": event.time,
+            "data": event.data,
+        }
+        for event in (() if trace is None else trace)
+    )
+    return write_jsonl(
+        path, itertools.chain(span_rows, event_rows), default=_json_default
+    )

@@ -430,12 +430,12 @@ class LifecycleLedger:
 
     def write_jsonl(self, path: str) -> int:
         """One transition per line; returns the number of lines written."""
-        transitions = self.transitions()
-        with open(path, "w", encoding="utf-8") as fh:
-            for tr in transitions:
-                fh.write(json.dumps(tr.to_dict(), default=str))
-                fh.write("\n")
-        return len(transitions)
+        # Imported here: exporters -> workflow.consumer -> lineage is a cycle.
+        from repro.obs.exporters import write_jsonl
+
+        return write_jsonl(
+            path, [tr.to_dict() for tr in self.transitions()], default=str
+        )
 
     def load_transitions(self, transitions: Sequence[Transition]) -> None:
         """Bulk-append already-built transitions (the re-parse path)."""

@@ -241,6 +241,8 @@ _NULL_INSTRUMENT = _NullInstrument()
 
 
 def _label_items(labels: Dict[str, object]) -> LabelItems:
+    if not labels:
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -288,6 +290,14 @@ class MetricsRegistry:
         with self._lock:
             items = sorted(self._instruments.items())
         return tuple(inst for _key, inst in items)
+
+    def series(self, *names: str) -> Tuple[object, ...]:
+        """Every instrument named one of ``names``, in creation order."""
+        wanted = set(names)
+        with self._lock:
+            return tuple(
+                inst for (name, _), inst in self._instruments.items() if name in wanted
+            )
 
     def __iter__(self) -> Iterator[object]:
         return iter(self.collect())

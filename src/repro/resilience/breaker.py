@@ -202,7 +202,7 @@ class CircuitBreaker:
                 "viper_breaker_trips_total", site=self.site
             ).inc()
             if self.stats is not None:
-                self.stats.record_breaker_trip(self.site)
+                self.stats.count("breaker_trips", site=self.site)
 
 
 class BreakerBoard:

@@ -26,12 +26,12 @@ be exported as JSONL for the CI overload-chaos artifacts.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.obs.exporters import write_jsonl
 from repro.obs.metrics import NULL_METRICS
 
 __all__ = ["Lease", "LeaseRegistry"]
@@ -166,7 +166,7 @@ class LeaseRegistry:
         for member in evicted:
             self.metrics.counter("viper_leases_expired_total", reason="ttl").inc()
             if self.stats is not None:
-                self.stats.record_lease_expired("ttl")
+                self.stats.count("leases_expired", reason="ttl")
         if self.on_expire is not None:
             for member in callbacks:
                 self.on_expire(member, "ttl")
@@ -185,7 +185,7 @@ class LeaseRegistry:
             self._event_locked("expire", member, now, reason=reason)
         self.metrics.counter("viper_leases_expired_total", reason=reason).inc()
         if self.stats is not None:
-            self.stats.record_lease_expired(reason)
+            self.stats.count("leases_expired", reason=reason)
         if self.on_expire is not None:
             self.on_expire(member, reason)
         return True
@@ -221,7 +221,4 @@ class LeaseRegistry:
         """Dump membership transitions as JSONL; returns the line count."""
         with self._lock:
             events = list(self.events)
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in events:
-                fh.write(json.dumps(entry) + "\n")
-        return len(events)
+        return write_jsonl(path, events)

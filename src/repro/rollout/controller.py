@@ -26,12 +26,12 @@ chaos job uploads it as an artifact).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import IntegrityError, RetriesExhausted, ServingError
 from repro.core.notification import QUARANTINE_EVENT, Notification
+from repro.obs.exporters import write_jsonl
 from repro.obs.metrics import NULL_METRICS
 from repro.rollout.gate import GateDecision, HealthGate, RollbackReason, Verdict
 from repro.rollout.policy import CanaryRouter, RolloutPolicy
@@ -256,7 +256,7 @@ class RolloutController:
         self.consumer.promote_candidate(self.model_name)
         self.promotions += 1
         self._m_promotions.inc()
-        self.viper.handler.stats.record_promotion()
+        self.viper.handler.stats.count("canary_promotions")
         self._log(
             "promote", cand.version, sim_now,
             canary_requests=cand.router.canary_requests,
@@ -302,7 +302,7 @@ class RolloutController:
         viper = self.viper
         viper.metadata.quarantine_version(self.model_name, version, reason.value)
         viper.freshness.record_quarantine(self.model_name, version, sim_now)
-        viper.handler.stats.record_rollback(reason.value)
+        viper.handler.stats.count("canary_rollbacks", reason=reason.value)
         self.rollbacks += 1
         ttd = max(0.0, sim_now - self._first_attempt.get(version, sim_now))
         self.time_to_detect.append(ttd)
@@ -365,7 +365,4 @@ class RolloutController:
     # ------------------------------------------------------------------
     def write_decision_log(self, path) -> int:
         """Append-free JSONL export of every decision; returns the count."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in self.decisions:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        return len(self.decisions)
+        return write_jsonl(path, self.decisions, sort_keys=True)

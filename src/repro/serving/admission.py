@@ -30,13 +30,13 @@ carrying a ``Retry-After``-style hint.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional
 
 from repro.errors import ConfigurationError, OverloadError
+from repro.obs.exporters import write_jsonl
 from repro.obs.metrics import NULL_METRICS
 
 __all__ = ["TokenBucket", "AdmissionConfig", "AdmissionController"]
@@ -194,7 +194,7 @@ class AdmissionController:
             "server_requests_shed_total", server=self.name, reason=reason
         ).inc()
         if self.stats is not None:
-            self.stats.record_shed(reason)
+            self.stats.count("requests_shed", reason=reason)
         return OverloadError(
             f"request shed ({reason}); retry after {retry_after:.4f}s",
             reason=reason,
@@ -261,7 +261,4 @@ class AdmissionController:
         """Dump the retained shed decisions as JSONL; returns line count."""
         with self._lock:
             decisions = list(self.decisions)
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in decisions:
-                fh.write(json.dumps(entry) + "\n")
-        return len(decisions)
+        return write_jsonl(path, decisions)

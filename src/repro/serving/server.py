@@ -255,7 +255,7 @@ class InferenceServer:
         self.freshness.record_degraded_enter(
             self.name, self.model_name, self._sim_time
         )
-        self.consumer.viper.handler.stats.record_degraded_entry()
+        self.consumer.viper.handler.stats.count("degraded_entries")
         self.metrics.counter(
             "server_degraded_entries_total", model=self.model_name
         ).inc()
@@ -271,7 +271,7 @@ class InferenceServer:
         """Account one staleness-watchdog fallback poll (and re-arm)."""
         self.stale_fallbacks += 1
         self._last_update_sim = self._sim_time
-        self.consumer.viper.handler.stats.record_stale_fallback()
+        self.consumer.viper.handler.stats.count("stale_fallbacks")
         self.freshness.record_stale_fallback(self.name, self.model_name)
         self.metrics.counter(
             "server_stale_fallbacks_total", model=self.model_name

@@ -82,6 +82,20 @@ class TestFormatDiscrimination:
         with pytest.raises(StorageError):
             ViperSerializer().loads(h5_blob)
 
+    @pytest.mark.parametrize("cut", [None, 20])
+    def test_checksum_free_v1_header_is_refused(self, cut):
+        # VIPR | <I 1> | payload: a valid payload behind the old header
+        # must not load unverified; it is refused like an unknown version,
+        # with a retryable error that moves a load to the next replica.
+        from repro.resilience import RETRYABLE_ERRORS
+
+        blob = ViperSerializer().dumps(sample_state())
+        legacy = b"VIPR" + struct.pack("<I", 1) + blob[12:cut]
+        with pytest.raises(StorageError, match="unsupported") as exc_info:
+            ViperSerializer().loads(legacy)
+        assert isinstance(exc_info.value, RETRYABLE_ERRORS)
+        assert not isinstance(exc_info.value, IntegrityError)
+
     def test_h5_blob_is_larger(self):
         state = sample_state()
         assert len(H5LikeSerializer().dumps(state)) > len(

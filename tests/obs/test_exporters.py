@@ -2,6 +2,11 @@
 
 import json
 import math
+import pathlib
+import types
+
+import numpy as np
+import pytest
 
 from repro.obs.exporters import (
     chrome_trace,
@@ -9,6 +14,7 @@ from repro.obs.exporters import (
     spans_to_chrome_events,
     trace_to_chrome_events,
     write_chrome_trace,
+    write_jsonl,
     write_jsonl_events,
     write_prometheus,
 )
@@ -235,3 +241,96 @@ class TestJsonl:
         obj = json.loads(open(path, encoding="utf-8").read())
         assert obj["attrs"]["loss"] == 0.5
         assert not math.isnan(obj["sim_duration"])
+
+
+def _old_lines(rows, **kw):
+    """What the per-writer loops wrote: one ``json.dumps`` per row."""
+    return "".join(json.dumps(row, **kw) + "\n" for row in rows)
+
+
+def _shed_log():
+    from repro.errors import OverloadError
+    from repro.serving.admission import AdmissionConfig, AdmissionController
+
+    ctrl = AdmissionController(AdmissionConfig(rate=1.0, burst=1.0))
+    ctrl.admit(0.0)
+    for deadline in (99.0, None):
+        with pytest.raises(OverloadError):
+            ctrl.admit(0.0, deadline=deadline)
+    return ctrl.write_shed_log, _old_lines(list(ctrl.decisions))
+
+
+def _lease_log():
+    from repro.resilience.health import LeaseRegistry
+
+    reg = LeaseRegistry(1.0)
+    reg.grant("a", 0.0)
+    reg.grant("b", 0.0)
+    reg.expire(2.0)
+    return reg.write_event_log, _old_lines(reg.events)
+
+
+def _decision_log():
+    from repro.rollout.controller import RolloutController
+    from repro.rollout.policy import RolloutPolicy
+
+    consumer = types.SimpleNamespace(viper=None, name="c0")
+    ctrl = RolloutController(consumer, "m", RolloutPolicy())
+    ctrl._log("stage", 2, 1.5, zeta=1, alpha="ü")
+    ctrl._log("rollback", 2, 2.0, reason="nan")
+    return ctrl.write_decision_log, _old_lines(ctrl.decisions, sort_keys=True)
+
+
+def _lineage_log():
+    from repro.obs.lineage import LifecycleLedger, TraceContext
+
+    ledger = LifecycleLedger()
+    ctx = TraceContext.make("m", 1)
+    ledger.record(ctx, "capture", sim_time=0.0, actor="producer",
+                  where=pathlib.PurePosixPath("/ckpt/m"))
+    ledger.record(ctx, "publish", sim_time=0.5, actor="producer")
+    rows = [tr.to_dict() for tr in ledger.transitions()]
+    return ledger.write_jsonl, _old_lines(rows, default=str)
+
+
+def _event_log():
+    from repro.obs.exporters import _json_default
+
+    tracer = _tracer_with_spans()
+    tracer.record("s", start_sim=3.0, end_sim=4.0, loss=np.float64(0.5))
+    trace = _pipeline_trace()
+    rows = [
+        {"type": "span", "name": sp.name, "span_id": sp.span_id,
+         "parent_id": sp.parent_id, "track": sp.track,
+         "start_sim": sp.start_sim, "end_sim": sp.end_sim,
+         "sim_duration": sp.sim_duration, "wall_duration": sp.wall_duration,
+         "attrs": sp.attrs}
+        for sp in tracer.spans()
+    ] + [
+        {"type": "event", "kind": ev.kind, "actor": ev.actor,
+         "time": ev.time, "data": ev.data}
+        for ev in trace
+    ]
+
+    def write(path):
+        return write_jsonl_events(path, spans=tracer.spans(), trace=trace)
+
+    return write, _old_lines(rows, default=_json_default)
+
+
+class TestOneJsonlWriter:
+    @pytest.mark.parametrize("source", [
+        _shed_log, _lease_log, _decision_log, _lineage_log, _event_log,
+    ], ids=lambda f: f.__name__.strip("_"))
+    def test_every_log_is_byte_identical_to_its_old_loop(self, source, tmp_path):
+        write, expected = source()
+        path = tmp_path / "log.jsonl"
+        n = write(str(path))
+        assert path.read_text(encoding="utf-8") == expected
+        assert n == expected.count("\n") > 0
+
+    def test_write_jsonl_counts_a_generator(self, tmp_path):
+        path = tmp_path / "g.jsonl"
+        assert write_jsonl(path, ({"i": i} for i in range(3))) == 3
+        assert write_jsonl(path, []) == 0
+        assert path.read_text() == ""

@@ -54,13 +54,6 @@ class TestChecksumFormat:
         with pytest.raises(IntegrityError):
             ser.loads(bytes(blob))
 
-    def test_v1_blob_loads_unverified(self):
-        ser = ViperSerializer()
-        blob = ser.dumps(STATE)
-        legacy = b"VIPR" + struct.pack("<I", 1) + blob[12:]
-        out = ser.loads(legacy)
-        np.testing.assert_array_equal(out["w"], STATE["w"])
-
     def test_unknown_version_rejected(self):
         ser = ViperSerializer()
         blob = bytearray(ser.dumps(STATE))
@@ -69,16 +62,14 @@ class TestChecksumFormat:
             ser.loads(bytes(blob))
 
     @pytest.mark.parametrize("cut", [4, 10, 13, 40, 200, 530, -200, -10, -1])
-    @pytest.mark.parametrize("fmt", ["viper", "viper-v1", "h5py"])
+    @pytest.mark.parametrize("fmt", ["viper", "h5py"])
     def test_truncated_blob_is_an_integrity_error(self, fmt, cut):
-        # A format without a CRC (h5py-like, legacy v1) has no checksum to
-        # catch a short read first: the parser's bounds checks must.
+        # A format without a CRC (the h5py-like baseline) has no checksum
+        # to catch a short read first: the parser's bounds checks must.
         if fmt == "h5py":
             ser, blob = H5LikeSerializer(), H5LikeSerializer().dumps(STATE)
         else:
             ser, blob = ViperSerializer(), ViperSerializer().dumps(STATE)
-            if fmt == "viper-v1":
-                blob = b"VIPR" + struct.pack("<I", 1) + blob[12:]
         with pytest.raises(IntegrityError):
             ser.loads(blob[:cut])
 
