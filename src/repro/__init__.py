@@ -17,32 +17,43 @@ Public surface:
   nodes, simulated clock).
 - :mod:`repro.resilience` — seeded fault injection and the
   retry/backoff/failover machinery of the resilient transfer path.
+
+The names below load on first use (PEP 562), so ``import repro.dnn``
+does not import the transfer engine, and ``from repro import Viper``
+imports what ``Viper`` needs and nothing else.
 """
 
-from repro.core.api import Viper, ViperConsumer, ViperProducer
-from repro.core.callback import CheckpointCallback
-from repro.core.predictor import InferencePerformancePredictor
-from repro.core.transfer import CaptureMode, TransferStrategy
-from repro.resilience import FaultKind, FaultPlan, FaultRule, RetryPolicy
-from repro.rollout import RolloutPolicy
-from repro.substrates.profiles import LAPTOP, POLARIS
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Viper",
-    "ViperProducer",
-    "ViperConsumer",
-    "CheckpointCallback",
-    "InferencePerformancePredictor",
-    "CaptureMode",
-    "TransferStrategy",
-    "FaultKind",
-    "FaultPlan",
-    "FaultRule",
-    "RetryPolicy",
-    "RolloutPolicy",
-    "POLARIS",
-    "LAPTOP",
-    "__version__",
-]
+#: Each public name -> the module that defines it.
+_DEFINED_IN = {
+    "Viper": "repro.core.api",
+    "ViperProducer": "repro.core.api",
+    "ViperConsumer": "repro.core.api",
+    "CheckpointCallback": "repro.core.callback",
+    "InferencePerformancePredictor": "repro.core.predictor.ipp",
+    "CaptureMode": "repro.core.transfer.strategies",
+    "TransferStrategy": "repro.core.transfer.strategies",
+    "FaultKind": "repro.resilience.faults",
+    "FaultPlan": "repro.resilience.faults",
+    "FaultRule": "repro.resilience.faults",
+    "RetryPolicy": "repro.resilience.retry",
+    "RolloutPolicy": "repro.rollout.policy",
+    "POLARIS": "repro.substrates.profiles",
+    "LAPTOP": "repro.substrates.profiles",
+}
+
+__all__ = [*_DEFINED_IN, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a public name's defining module on first access."""
+    try:
+        module = _DEFINED_IN[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

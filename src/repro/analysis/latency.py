@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.apps import get_app
+from repro.apps.registry import get_app
 from repro.core.transfer.handler import ModelWeightsHandler
 from repro.core.transfer.strategies import CaptureMode, TransferStrategy
 from repro.dnn.serialization import H5LikeSerializer, ViperSerializer

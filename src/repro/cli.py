@@ -30,7 +30,7 @@ from repro.analysis.reporting import (
     format_table1,
 )
 from repro.analysis.timeline import render_timeline, summarize_trace
-from repro.apps import get_app, list_apps
+from repro.apps.registry import get_app, list_apps
 
 __all__ = ["main"]
 
@@ -158,17 +158,14 @@ def cmd_obs(args) -> int:
     """``repro obs``: instrumented coupled run + per-stage breakdown."""
     from repro.core.predictor.schedules import epoch_schedule
     from repro.core.transfer.strategies import CaptureMode, TransferStrategy
-    from repro.obs import (
-        MetricsRegistry,
-        SpanTracer,
-        format_stage_table,
-        stage_breakdown,
-    )
     from repro.obs.exporters import (
         write_chrome_trace,
         write_jsonl_events,
         write_prometheus,
     )
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.report import format_stage_table, stage_breakdown
+    from repro.obs.tracer import SpanTracer
     from repro.workflow.runner import CoupledRunConfig, run_coupled
 
     app, curve = _curve(args.app or "tc1", args.scale, args.seed)
@@ -233,7 +230,8 @@ def _lineage_run(args):
     """
     from repro.core.predictor.schedules import epoch_schedule
     from repro.core.transfer.strategies import CaptureMode, TransferStrategy
-    from repro.obs import FreshnessTracker, LifecycleLedger, SLOTarget
+    from repro.obs.freshness import FreshnessTracker, SLOTarget
+    from repro.obs.lineage import LifecycleLedger
     from repro.workflow.multi import run_fanout
 
     app = get_app(args.app or "tc1")
@@ -269,7 +267,7 @@ def _export_lineage(args, ledger) -> None:
 
 def cmd_obs_lineage(args) -> int:
     """``repro obs lineage [VERSION]``: one version's cradle-to-serve trace."""
-    from repro.obs import format_lineage_table
+    from repro.obs.report import format_lineage_table
 
     app, ledger, _fresh, _result = _lineage_run(args)
     versions = ledger.versions(app.name)
@@ -290,7 +288,7 @@ def cmd_obs_lineage(args) -> int:
 
 def cmd_obs_fleet(args) -> int:
     """``repro obs fleet``: per-consumer freshness/SLO scorecard."""
-    from repro.obs import format_fleet_table
+    from repro.obs.freshness import format_fleet_table
 
     app, ledger, fresh, result = _lineage_run(args)
     print(f"{app.display_name}: {result.checkpoints} checkpoint(s), "

@@ -18,19 +18,3 @@ Four major components (paper Fig. 3):
 :mod:`repro.core.api` exposes the two-call public API from the paper's
 Figure 4: ``save_weights()`` and ``load_weights()``.
 """
-
-from repro.core.api import Viper, ViperConsumer, ViperProducer
-from repro.core.callback import CheckpointCallback
-from repro.core.metadata import MetadataStore, ModelRecord
-from repro.core.notification import NotificationBroker, Subscription
-
-__all__ = [
-    "Viper",
-    "ViperProducer",
-    "ViperConsumer",
-    "CheckpointCallback",
-    "MetadataStore",
-    "ModelRecord",
-    "NotificationBroker",
-    "Subscription",
-]

@@ -38,9 +38,17 @@ from repro.errors import (
 from repro.substrates.cluster.cluster import make_producer_consumer_pair
 from repro.substrates.profiles import POLARIS, HardwareProfile
 from repro.dnn.serialization import Serializer
+from repro.obs.freshness import NULL_FRESHNESS
+from repro.obs.lineage import NULL_LINEAGE
+from repro.obs.metrics import NULL_METRICS
+from repro.obs.tracer import NULL_TRACER
+from repro.resilience.breaker import BreakerBoard, BreakerConfig
+from repro.resilience.faults import default_seed
+from repro.resilience.recovery import MetadataJournal
 from repro.core.callback import CheckpointCallback
 from repro.core.metadata import MetadataStore
 from repro.core.notification import NotificationBroker, Subscription
+from repro.core.stats import StatsManager
 from repro.core.transfer.double_buffer import BufferSnapshot, DoubleBuffer
 from repro.core.transfer.handler import LoadResult, ModelWeightsHandler, UpdateResult
 from repro.core.transfer.selector import TransferSelector
@@ -77,12 +85,6 @@ class Viper:
         slow_consumer_cycles: int = 0,
         breaker=None,
     ):
-        from repro.core.stats import StatsManager
-        from repro.obs.freshness import NULL_FRESHNESS
-        from repro.obs.lineage import NULL_LINEAGE
-        from repro.obs.metrics import NULL_METRICS
-        from repro.obs.tracer import NULL_TRACER
-
         self.profile = profile
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -108,8 +110,6 @@ class Viper:
         self.recovery = {"replayed_ops": 0, "completed": 0, "pruned": 0}
         replayed = 0
         if journal is not None:
-            from repro.resilience.recovery import MetadataJournal
-
             if not isinstance(journal, MetadataJournal):
                 journal = MetadataJournal(journal, metrics=self.metrics)
             self.journal = journal
@@ -180,9 +180,6 @@ class Viper:
 
     def _breaker_board(self, breaker):
         """Normalize the ``breaker`` knob to a BreakerBoard (or None)."""
-        from repro.resilience.breaker import BreakerBoard, BreakerConfig
-        from repro.resilience.faults import default_seed
-
         if breaker is None or breaker is False:
             return None
         return BreakerBoard(

@@ -21,6 +21,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ScheduleError
+from repro.obs.metrics import NULL_METRICS
+from repro.obs.tracer import NULL_TRACER
 from repro.core.predictor.adapter import CheckpointFrequencyAdapter
 from repro.core.predictor.cilp import CILParams
 from repro.core.predictor.ipp import InferencePerformancePredictor
@@ -65,9 +67,6 @@ class CheckpointCallback(Callback):
         tracer=None,
         metrics=None,
     ):
-        from repro.obs.metrics import NULL_METRICS
-        from repro.obs.tracer import NULL_TRACER
-
         super().__init__()
         provided = sum(x is not None for x in (schedule, interval, algorithm))
         if provided != 1:

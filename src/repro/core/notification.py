@@ -38,6 +38,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import NotificationError
 from repro.obs.metrics import NULL_METRICS
+from repro.resilience.health import LeaseRegistry
 
 __all__ = [
     "Notification",
@@ -321,8 +322,6 @@ class NotificationBroker:
         self.reclaimed_messages = 0
         self.health = None
         if lease_ttl is not None:
-            from repro.resilience.health import LeaseRegistry
-
             self.health = LeaseRegistry(
                 lease_ttl, metrics=self.metrics, stats=stats
             )

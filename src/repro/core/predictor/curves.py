@@ -24,10 +24,10 @@ as the paper selects Exp3 for CANDLE-TC1.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from repro.errors import FitError
 
@@ -40,6 +40,8 @@ __all__ = [
 RATE_GRID_POINTS = 64
 #: Tolerance of the refinement, on log(rate).
 LOG_RATE_TOL = 1e-9
+#: Objective evaluations the refinement may spend.
+MAX_EVALUATIONS = 500
 #: A column no larger than this is left out of a solve (coefficient 0).
 NEGLIGIBLE_COLUMN = 1e-100
 
@@ -52,6 +54,79 @@ def _lstsq(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     coef = np.zeros(basis.shape[1])
     coef[live] = np.linalg.lstsq(basis[:, live] / scale[live], y, rcond=None)[0]
     return coef / np.where(live, scale, 1.0)
+
+
+def _fminbound(
+    func: Callable[[float], float], x1: float, x2: float, xatol: float
+) -> Tuple[float, float]:
+    """``(x, func(x))`` at a local minimum of ``func`` on ``[x1, x2]``:
+    Brent's bounded search (golden-section steps, parabolic where they
+    are accepted), taking the reference ``fminbound``'s steps exactly
+    [Forsythe, Malcolm & Moler 1977], so every fit keeps its bits.  At
+    most :data:`MAX_EVALUATIONS` calls."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= MAX_EVALUATIONS:
+            break
+    return xf, fx
 
 
 class CurveModel:
@@ -105,11 +180,8 @@ class CurveModel:
         mses = [projected_mse(t) for t in grid]
         i = int(np.argmin(mses))
         bracket = (grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])
-        refined = minimize_scalar(
-            projected_mse, bounds=bracket, method="bounded",
-            options={"xatol": LOG_RATE_TOL},
-        )
-        b = float(np.exp(refined.x if refined.fun < mses[i] else grid[i]))
+        log_b, mse = _fminbound(projected_mse, *bracket, xatol=LOG_RATE_TOL)
+        b = float(np.exp(log_b if mse < mses[i] else grid[i]))
         coef, _ = self._project(x, y, b)
         return np.array([coef[0], b, *coef[1:]])
 

@@ -23,6 +23,8 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+
 __all__ = ["LocationStats", "StatsSnapshot", "StatsManager", "LOCATION_RANK", "COUNTERS"]
 
 #: Cheapest-first order of checkpoint locations (the load path prefers
@@ -133,8 +135,6 @@ class StatsManager:
     """
 
     def __init__(self, metrics=None):
-        from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-
         self._lock = threading.Lock()
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._store = self.metrics if self.metrics.enabled else MetricsRegistry()

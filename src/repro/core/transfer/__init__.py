@@ -18,45 +18,3 @@
 - :mod:`handler` — the Model Weights Handler facade processing
   save/load requests end to end.
 """
-
-from repro.core.transfer.delta import (
-    DeltaConfig,
-    DeltaManager,
-    DeltaStats,
-    decode_frame,
-    encode_frame,
-    is_delta_frame,
-)
-from repro.core.transfer.pipeline import PipelineConfig
-from repro.core.transfer.strategies import (
-    CaptureMode,
-    StrategyTimings,
-    TransferStrategy,
-    compute_timings,
-    pipelined_phase_cost,
-)
-from repro.core.transfer.selector import TransferSelector
-from repro.core.transfer.double_buffer import DoubleBuffer
-from repro.core.transfer.engine import AsyncTransferEngine
-from repro.core.transfer.handler import ModelWeightsHandler, UpdateResult, LoadResult
-
-__all__ = [
-    "TransferStrategy",
-    "CaptureMode",
-    "StrategyTimings",
-    "compute_timings",
-    "pipelined_phase_cost",
-    "PipelineConfig",
-    "DeltaConfig",
-    "DeltaManager",
-    "DeltaStats",
-    "encode_frame",
-    "decode_frame",
-    "is_delta_frame",
-    "TransferSelector",
-    "DoubleBuffer",
-    "AsyncTransferEngine",
-    "ModelWeightsHandler",
-    "UpdateResult",
-    "LoadResult",
-]

@@ -78,7 +78,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import DeltaBaseError, IntegrityError, StorageError
+from repro.errors import (
+    ConfigurationError, DeltaBaseError, IntegrityError, StorageError,
+)
 from repro.dnn.serialization import Segments, ViperSerializer, crc32_combine
 from repro.substrates.cost import KB
 
@@ -133,8 +135,6 @@ class DeltaConfig:
     chunk_bytes: int = DEFAULT_DELTA_CHUNK_BYTES
 
     def __post_init__(self):
-        from repro.errors import ConfigurationError
-
         if self.chunk_bytes <= 0:
             raise ConfigurationError(
                 f"delta chunk_bytes must be positive, got {self.chunk_bytes}"

@@ -67,6 +67,7 @@ from repro.core.transfer.delta import (
 )
 from repro.core.transfer.engine import AsyncTransferEngine, TransferJob
 from repro.core.transfer.pipeline import PipelineConfig, serialize_pipelined
+from repro.core.transfer.retention import collect_garbage
 from repro.core.transfer.selector import TransferSelector
 from repro.core.transfer.strategies import (
     CaptureMode,
@@ -852,8 +853,6 @@ class ModelWeightsHandler:
         # and is listed in ``flusher.failures``; it does not fail drain.
         self.flusher.drain(timeout, raise_on_error=False)
         if self.retention is not None:
-            from repro.core.transfer.retention import collect_garbage
-
             for model_name in self.metadata.models():
                 collect_garbage(
                     self.metadata, self.cluster.pfs, model_name, self.retention

@@ -41,16 +41,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.substrates.cost import Cost
 from repro.substrates.network.links import LinkSpec
 from repro.substrates.profiles import HardwareProfile
 from repro.dnn.serialization import Serializer
-
-if TYPE_CHECKING:  # avoid a cycle through repro.obs -> repro.workflow
-    from repro.core.transfer.pipeline import PipelineConfig
+from repro.core.transfer.pipeline import PipelineConfig
 
 __all__ = [
     "TransferStrategy",

@@ -35,11 +35,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import Span
-from repro.workflow.trace import Trace, TraceEvent
+
+if TYPE_CHECKING:  # the workflow layer sits above obs: annotations only
+    from repro.workflow.trace import Trace, TraceEvent
 
 __all__ = [
     "spans_to_chrome_events",

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ViperError
+from repro.obs.exporters import write_jsonl
 
 __all__ = [
     "TraceContext",
@@ -430,9 +431,6 @@ class LifecycleLedger:
 
     def write_jsonl(self, path: str) -> int:
         """One transition per line; returns the number of lines written."""
-        # Imported here: exporters -> workflow.consumer -> lineage is a cycle.
-        from repro.obs.exporters import write_jsonl
-
         return write_jsonl(
             path, [tr.to_dict() for tr in self.transitions()], default=str
         )

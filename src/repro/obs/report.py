@@ -21,11 +21,12 @@ construction the per-checkpoint stage durations sum to the end-to-end
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.workflow.trace import Trace
+if TYPE_CHECKING:  # the workflow layer sits above obs: annotations only
+    from repro.workflow.trace import Trace
 
 __all__ = [
     "StageStats",

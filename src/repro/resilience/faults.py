@@ -54,6 +54,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.obs.metrics import NULL_METRICS
+from repro.substrates.network import links
 
 __all__ = [
     "FAULT_SEED_ENV",
@@ -335,8 +336,6 @@ class FaultPlan:
             store.faults = self
             self._armed_stores.append(store)
         if links_hook:
-            from repro.substrates.network import links
-
             links.install_fault_hook(self)
             self._links_hooked = True
         return self
@@ -348,8 +347,6 @@ class FaultPlan:
                 store.faults = None
         self._armed_stores.clear()
         if self._links_hooked:
-            from repro.substrates.network import links
-
             links.uninstall_fault_hook(self)
             self._links_hooked = False
 

@@ -13,7 +13,3 @@ library can run anywhere:
   InfiniBand, PFS fabric) and their transfer-time laws.
 - :mod:`repro.substrates.cluster` — compute nodes and two-node topologies.
 """
-
-from repro.substrates.simclock import SimClock, EventLoop, Event
-
-__all__ = ["SimClock", "EventLoop", "Event"]

@@ -1,6 +1,1 @@
 """Compute-node and cluster topology substrate."""
-
-from repro.substrates.cluster.node import ComputeNode
-from repro.substrates.cluster.cluster import Cluster, make_producer_consumer_pair
-
-__all__ = ["ComputeNode", "Cluster", "make_producer_consumer_pair"]

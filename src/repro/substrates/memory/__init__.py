@@ -1,12 +1,1 @@
 """Multi-tier storage substrate (GPU HBM, host DRAM, local SSD, PFS)."""
-
-from repro.substrates.memory.tiers import TierKind, TierSpec
-from repro.substrates.memory.storage import TierStore, StoredObject, EvictionPolicy
-
-__all__ = [
-    "TierKind",
-    "TierSpec",
-    "TierStore",
-    "StoredObject",
-    "EvictionPolicy",
-]

@@ -31,6 +31,7 @@ from repro.core.predictor.adapter import CheckpointFrequencyAdapter
 from repro.core.predictor.cilp import CILParams
 from repro.core.predictor.ipp import InferencePerformancePredictor
 from repro.core.predictor.schedules import Schedule, epoch_schedule
+from repro.core.predictor.tlp import smooth_losses
 from repro.core.transfer.strategies import (
     CaptureMode,
     TransferStrategy,
@@ -81,8 +82,6 @@ def measured_loss_curve(
     and the paper's assumption 2 equates a checkpoint's *training quality*
     (not one batch's luck) with its inference quality.
     """
-    from repro.core.predictor.tlp import smooth_losses
-
     model = app.build_model()
     x, y, _xt, _yt = app.dataset(scale=scale, seed=seed)
     n_epochs = app.epochs if epochs is None else epochs

@@ -17,7 +17,11 @@ findings on ``src/repro``:
 - a module that no entry point imports (see :data:`ENTRY_POINTS`);
 - a ``threading.Thread(...)`` or ``queue.Queue(...)`` built outside the
   one background worker class (see :data:`WORKER_ALLOWLIST`);
-- an import of ``hashlib``: CRC-32 (``zlib``) is the one checksum family.
+- an import of ``hashlib``: CRC-32 (``zlib``) is the one checksum family;
+- an import that reaches a higher layer than its own (see :data:`LAYERS`),
+  a package ``__init__`` importing from outside its own package, and a
+  ``repro`` import inside a function outside ``cli.py`` (see
+  :data:`NESTED_IMPORT_ALLOWLIST`).
 
 ``make lint-local`` runs this plus ``python -m compileall -q src``.
 """
@@ -80,6 +84,35 @@ WORKER_ALLOWLIST = {
 WORKER_PRIMITIVES = {("threading", "Thread"), ("queue", "Queue")}
 #: A second checksum family would need one of these: none may be imported.
 FORBIDDEN_MODULES = {"hashlib"}
+
+#: The packages (and top-level modules) of ``src/repro``, lowest layer
+#: first.  A module imports from its own package and from lower layers
+#: only; two packages on one line are peers and import neither the
+#: other.  Names imported from a package count as imported from the
+#: module that defines them; imports under ``if TYPE_CHECKING:`` are
+#: annotations and do not count.  The root ``repro`` sits above all.
+LAYERS = (
+    ("errors",),
+    ("substrates",),
+    ("dnn",),
+    ("obs",),
+    ("resilience",),
+    ("apps", "repository"),
+    ("core",),
+    ("rollout",),
+    ("serving",),
+    ("workflow",),
+    ("analysis",),
+    ("cli",),
+    ("__main__",),
+)
+
+#: Modules besides ``repro.cli`` that import from ``repro`` inside a
+#: function, each with what would take it off.  This list may only
+#: shrink: hoist the import, and remove its line; never add one.
+NESTED_IMPORT_ALLOWLIST = {}
+#: The command-line driver imports each command's stack when it runs.
+LAZY_IMPORTERS = {"repro.cli"}
 
 
 def _bound_names(node):
@@ -273,20 +306,73 @@ def _module_paths(root: Path, package: str):
     return out
 
 
+def _is_type_checking(test):
+    """``TYPE_CHECKING`` or ``typing.TYPE_CHECKING``."""
+    return getattr(test, "id", getattr(test, "attr", None)) == "TYPE_CHECKING"
+
+
+def _import_sites(tree, context="module"):
+    """``(node, context)`` for every import statement in ``tree``:
+    ``context`` is ``"function"`` inside a function body,
+    ``"type_checking"`` under ``if TYPE_CHECKING:``, else ``"module"``."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child, context
+        elif isinstance(child, ast.If) and _is_type_checking(child.test):
+            for node in child.body:
+                yield from _import_sites(ast.Module([node], []), "type_checking")
+            for node in child.orelse:
+                yield from _import_sites(ast.Module([node], []), context)
+        else:
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from _import_sites(child, "function" if inner else context)
+
+
 def _imports(name: str, path: Path):
-    """``(module, bound names)`` for every import in a module, at any
-    depth (function-level imports too); relative imports resolved.
-    ``import a.b`` binds nothing by name: its names are ``()``."""
+    """``(module, bound names, line, context)`` for every import in a
+    module, at any depth (see :func:`_import_sites`); relative imports
+    resolved.  ``import a.b`` binds nothing by name: its names are ``()``."""
     package = name if path.name == "__init__.py" else name.rpartition(".")[0]
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node, context in _import_sites(tree):
         if isinstance(node, ast.Import):
-            yield from ((alias.name, ()) for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level:
-                anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
-                module = ".".join(anchor + ([module] if module else []))
-            yield module, tuple(alias.name for alias in node.names)
+            for alias in node.names:
+                yield alias.name, (), node.lineno, context
+            continue
+        module = node.module or ""
+        if node.level:
+            anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
+            module = ".".join(anchor + ([module] if module else []))
+        yield module, tuple(alias.name for alias in node.names), node.lineno, context
+
+
+def _import_graph(root: Path, package: str):
+    """``(paths, imports, targets)`` of the modules under ``root/package``:
+    dotted name -> path, dotted name -> :func:`_imports`, and
+    ``targets(module, names)``, the modules under ``package`` that an
+    import of ``names`` from ``module`` reaches: a submodule, or the
+    module a package ``__init__`` re-exports the name from."""
+    paths = _module_paths(root, package)
+    imports = {name: list(_imports(name, path)) for name, path in paths.items()}
+
+    def targets(module, names):
+        if module not in paths:
+            return  # outside the package
+        if not names:
+            yield module
+        for name in names:
+            if f"{module}.{name}" in paths:
+                yield f"{module}.{name}"
+            elif paths[module].name == "__init__.py":
+                # Follow the re-export of ``name``, if the package has one.
+                source = next(
+                    (m for m, bound, *_ in imports[module] if name in bound), None
+                )
+                yield from targets(source, (name,)) if source else (module,)
+            else:
+                yield module
+
+    return paths, imports, targets
 
 
 def unreachable_modules(root: Path, package: str, entries):
@@ -297,27 +383,8 @@ def unreachable_modules(root: Path, package: str, entries):
     package reaches the module the ``__init__`` re-exports it from, not
     every module the ``__init__`` imports.
     """
-    paths = _module_paths(root, package)
-    imports = {name: list(_imports(name, path)) for name, path in paths.items()}
+    paths, imports, targets = _import_graph(root, package)
     is_package = {name: path.name == "__init__.py" for name, path in paths.items()}
-
-    def targets(module, names):
-        if module not in paths:
-            return  # outside the package
-        if not names:
-            yield module
-        for name in names:
-            if f"{module}.{name}" in paths:
-                yield f"{module}.{name}"
-            elif is_package[module]:
-                # Follow the re-export of ``name``, if the package has one.
-                source = next(
-                    (m for m, bound in imports[module] if name in bound), None
-                )
-                yield from targets(source, (name,)) if source else (module,)
-            else:
-                yield module
-
     seen = set()
     todo = list(entries)
     while todo:
@@ -326,9 +393,65 @@ def unreachable_modules(root: Path, package: str, entries):
             continue
         seen.add(module)
         if not is_package[module]:
-            for source, names in imports[module]:
+            for source, names, *_ in imports[module]:
                 todo.extend(targets(source, names))
     return {name for name in paths if not is_package[name]} - seen
+
+
+def _layer(module: str) -> str:
+    """The package (or top-level module) ``repro.x.y`` belongs to: ``x``;
+    the root package is its own layer."""
+    parts = module.split(".")
+    return parts[1] if len(parts) > 1 else parts[0]
+
+
+def layer_violations(root: Path, package: str, layers):
+    """``(module, line, target)`` for every import, module- or
+    function-level, that reaches a module of a higher layer than its
+    own, or of a peer package in its own layer (see :data:`LAYERS`);
+    an undeclared layer ranks above every declared one."""
+    rank = {name: i for i, layer in enumerate(layers) for name in layer}
+    paths, imports, targets = _import_graph(root, package)
+    found = []
+    for name in paths:
+        own = _layer(name)
+        for module, names, line, context in imports[name]:
+            if context == "type_checking":
+                continue
+            for target in targets(module, names):
+                other = _layer(target)
+                if other != own and rank.get(other, len(layers)) >= rank.get(
+                    own, len(layers)
+                ):
+                    found.append((name, line, target))
+    return sorted(found)
+
+
+def foreign_package_imports(root: Path, package: str):
+    """``(package, line, module)`` for every module-level import in a
+    package ``__init__`` of a module outside that package.  The root
+    package imports none: its public names load on first use."""
+    found = []
+    for name, path in _module_paths(root, package).items():
+        if path.name != "__init__.py":
+            continue
+        prefix = None if name == package else f"{name}."
+        for module, _names, line, context in _imports(name, path):
+            if context == "module" and module.split(".")[0] == package:
+                if prefix is None or not module.startswith(prefix) and module != name:
+                    found.append((name, line, module))
+    return sorted(found)
+
+
+def nested_imports(root: Path, package: str):
+    """``{module: [line]}`` of every import of a ``package`` module inside
+    a function body."""
+    found = {}
+    for name, path in _module_paths(root, package).items():
+        for module, _names, line, context in _imports(name, path):
+            if context == "function" and module.split(".")[0] == package:
+                found.setdefault(name, []).append(line)
+    return found
 
 
 def test_entry_points_are_declared_where_they_live():
@@ -366,6 +489,88 @@ def test_gate_catches_an_orphan_module(tmp_path):
     for name, text in files.items():
         (pkg / name).write_text(text)
     assert unreachable_modules(tmp_path, "pkg", ["pkg.entry"]) == {"pkg.orphan"}
+
+
+def test_every_package_is_in_one_declared_layer():
+    declared = [name for layer in LAYERS for name in layer]
+    found = {_layer(name) for name in _module_paths(SRC.parent, "repro")}
+    assert len(declared) == len(set(declared))
+    # Equality: a new package needs a layer, and a deleted one its line.
+    assert found - {"repro"} == set(declared)
+
+
+def test_no_import_reaches_a_higher_layer():
+    assert layer_violations(SRC.parent, "repro", LAYERS) == []
+
+
+def test_package_inits_import_only_their_own_package():
+    assert foreign_package_imports(SRC.parent, "repro") == []
+
+
+def test_no_function_level_imports_outside_the_cli():
+    nested = set(nested_imports(SRC.parent, "repro")) - LAZY_IMPORTERS
+    # Equality: a new nested import fails, and so does an allowlist line
+    # whose import was hoisted.
+    assert nested == set(NESTED_IMPORT_ALLOWLIST)
+
+
+def _write_package(root: Path, files):
+    for name, text in files.items():
+        path = root / "pkg" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def test_gate_catches_an_upward_import(tmp_path):
+    _write_package(tmp_path, {
+        "__init__.py": "",
+        "low/__init__.py": "from pkg.low.base import Base\n",
+        "low/base.py": (
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n    from pkg.high.app import App\n"
+            "class Base:\n    pass\n"
+        ),
+        "low/leaky.py": "def f():\n    from pkg.high import App\n    return App\n",
+        "low/direct.py": "import pkg.high.app\n",
+        "mid/__init__.py": "",
+        "mid/peer.py": "from pkg.side import x\n",
+        "side.py": "x = 1\n",
+        "high/__init__.py": "from pkg.high.app import App\n",
+        "high/app.py": "from pkg.low import Base\nfrom pkg import side\nclass App(Base):\n    pass\n",
+    })
+    layers = (("low",), ("mid", "side"), ("high",))
+    assert layer_violations(tmp_path, "pkg", layers) == [
+        ("pkg.low.direct", 1, "pkg.high.app"),
+        ("pkg.low.leaky", 2, "pkg.high.app"),  # through the re-export
+        ("pkg.mid.peer", 1, "pkg.side"),  # a peer in the same layer
+    ]
+
+
+def test_gate_catches_a_foreign_import_in_a_package_init(tmp_path):
+    _write_package(tmp_path, {
+        "__init__.py": "import importlib\nfrom pkg.a.mod import X\n",
+        "a/__init__.py": "from pkg.a.mod import X\nfrom . import mod\nfrom pkg.b import Y\n",
+        "a/mod.py": "X = 1\n",
+        "b/__init__.py": "def f():\n    from pkg.a import X\n    return X\n",
+    })
+    assert foreign_package_imports(tmp_path, "pkg") == [
+        ("pkg", 2, "pkg.a.mod"),
+        ("pkg.a", 3, "pkg.b"),
+    ]
+
+
+def test_gate_catches_a_function_level_import(tmp_path):
+    _write_package(tmp_path, {
+        "__init__.py": "",
+        "mod.py": (
+            "import json\n"
+            "from pkg import other\n"
+            "def f():\n    import os\n    from pkg.other import X\n    return X\n"
+            "class C:\n    async def g(self):\n        import pkg.other\n"
+        ),
+        "other.py": "X = 1\n",
+    })
+    assert nested_imports(tmp_path, "pkg") == {"pkg.mod": [5, 9]}
 
 
 def test_threads_and_queues_built_only_by_the_worker():
