@@ -1,6 +1,6 @@
 # Convenience targets for the Viper reproduction.
 
-.PHONY: install test lint lint-local chaos bench bench-delta bench-overload bench-e2e bench-pairs examples experiments clean
+.PHONY: install test lint lint-local import-check fuzz chaos bench bench-delta bench-overload bench-e2e bench-pairs examples experiments clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -23,6 +23,23 @@ lint:
 lint-local:
 	python -m compileall -q src
 	PYTHONPATH=src python -m pytest -q tests/test_lint_local.py
+
+# Import each src/repro module alone in a fresh interpreter: an
+# import-order cycle that a full import hides fails here (~25 s).
+import-check:
+	cd src && for mod in $$(find repro -name '*.py' | sed 's|/__init__\.py$$||; s|\.py$$||; s|/|.|g' | sort); do \
+		python -c "import $$mod" || { echo "import-check: $$mod"; exit 1; }; \
+	done
+
+# Tier-1's hypothesis tests with fresh random draws, RUNS times over
+# (tier-1 itself replays fixed draws):
+#   make fuzz RUNS=20
+RUNS ?= 5
+fuzz:
+	for i in $$(seq $(RUNS)); do \
+		PYTHONPATH=src python -m pytest -x -q --hypothesis-profile=fuzz \
+			$$(grep -rl --include='test_*.py' "from hypothesis import" tests) || exit 1; \
+	done
 
 # Fault-injection suite under an arbitrary seed, like CI's chaos job:
 #   make chaos SEED=12345

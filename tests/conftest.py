@@ -4,12 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.apps.registry import AppProfile, AppTiming
 from repro.core.predictor.cilp import CILParams
 from repro.substrates.cost import MB
 from repro.substrates.memory.tiers import TierKind, TierSpec
 from repro.substrates.network.links import LinkKind, LinkSpec
+
+
+# Tier-1 draws the same hypothesis examples on every run (for a given
+# test and hypothesis version), so a failure replays as it was seen.
+# ``make fuzz`` (``--hypothesis-profile=fuzz``) draws afresh instead, and
+# more examples where a test does not fix its own count.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("fuzz", max_examples=1000)
+settings.load_profile("tier1")
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,27 @@
-"""Differential test: the variable-projection fit against the multi-start
-``curve_fit`` search it replaced.
+"""Differential tests of the curve fit against scipy, a test-only oracle.
 
-The reference below is the old fitter, kept here as a test-only oracle:
-for each family, a few cold starts over the rate with the same bounds,
-the best in-sample MSE wins.  On every random family-shaped curve the
-closed-form fit must do at least as well, for every family.
+- The variable-projection fit against the multi-start ``curve_fit``
+  search it replaced: for each family, a few cold starts over the rate
+  with the same bounds, the best in-sample MSE wins.  On every random
+  family-shaped curve the closed-form fit must do at least as well, for
+  every family.
+- The in-repo bounded Brent search against ``minimize_scalar(method=
+  "bounded")``: the same point, value and number of evaluations, bit
+  for bit, and so the same fitted parameters and MSE.
 """
 
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import curve_fit
+from scipy.optimize import curve_fit, minimize_scalar
 
 from repro.errors import FitError
+from repro.core.predictor import curves
 from repro.core.predictor.curves import CURVE_FAMILIES
 
 INF = np.inf
@@ -101,3 +107,89 @@ def test_non_finite_input_rejected(family, bad):
     (x if bad == "x" else y)[5] = np.nan
     with pytest.raises(FitError):
         family().fit(x, y)
+
+
+def scipy_fminbound(func, x1, x2, xatol):
+    """The refinement as it ran through scipy."""
+    res = minimize_scalar(
+        func, bounds=(x1, x2), method="bounded", options={"xatol": xatol}
+    )
+    return res.x, res.fun
+
+
+def _counted(func):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return func(x)
+
+    return counted, calls
+
+
+@st.composite
+def bounded_objectives(draw):
+    """A bracket, a tolerance, and an objective on it: a quadratic, ``|x-c|``,
+    a cosine, a constant, a staircase (ties), or a slope whose minimum is
+    at either bound."""
+    x1 = draw(st.floats(-50.0, 50.0))
+    x2 = x1 + draw(st.floats(1e-6, 40.0))
+    xatol = draw(st.sampled_from([1e-9, 1e-5, 1e-3, 0.1]))
+    c = draw(st.floats(x1 - 5.0, x2 + 5.0))
+    k = draw(st.floats(0.01, 100.0))
+    kind = draw(st.sampled_from(
+        ["quadratic", "abs", "cos", "constant", "steps", "low_bound", "high_bound"]
+    ))
+    objective = {
+        "quadratic": lambda x: k * (x - c) ** 2 - 1.0,
+        "abs": lambda x: abs(x - c),
+        "cos": lambda x: math.cos(k * x),
+        "constant": lambda x: k,
+        "steps": lambda x: math.floor(k * abs(x - c)),
+        "low_bound": lambda x: k * (x - x1),
+        "high_bound": lambda x: k * (x2 - x),
+    }[kind]
+    return objective, x1, x2, xatol
+
+
+def _staircase(x):
+    return math.floor(5.0 * abs(x - 1.5226983567891663))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_objectives())
+# Ties between the second- and third-best points steer later parabolas.
+@example((_staircase, -4.90795061445615, 3.9162645888731893, 1e-5))
+def test_fminbound_takes_scipys_steps(case):
+    objective, x1, x2, xatol = case
+    ours, our_calls = _counted(objective)
+    theirs, their_calls = _counted(objective)
+    x, fun = curves._fminbound(ours, x1, x2, xatol)
+    ref_x, ref_fun = scipy_fminbound(theirs, x1, x2, xatol)
+    assert np.float64(x).tobytes() == np.float64(ref_x).tobytes()
+    assert np.float64(fun).tobytes() == np.float64(ref_fun).tobytes()
+    assert len(our_calls) == len(their_calls) <= curves.MAX_EVALUATIONS
+
+
+def test_fminbound_stops_at_the_evaluation_cap():
+    # With xatol = 0 and the minimum at 0 the tolerance shrinks with the
+    # point itself: both searches stop after the same 500 calls.
+    ours, our_calls = _counted(abs)
+    theirs, their_calls = _counted(abs)
+    assert curves._fminbound(ours, -1.0, 1.0, 0.0) == scipy_fminbound(
+        theirs, -1.0, 1.0, 0.0
+    )
+    assert len(our_calls) == len(their_calls) == curves.MAX_EVALUATIONS
+
+
+@settings(max_examples=50, deadline=None)
+@given(family_curves())
+def test_fits_bit_identical_to_a_scipy_refinement(curve):
+    x, y = curve
+    ours = curves.fit_all_curves(x, y)
+    with mock.patch.object(curves, "_fminbound", scipy_fminbound):
+        theirs = curves.fit_all_curves(x, y)
+    assert ours.keys() == theirs.keys()
+    for name, model in ours.items():
+        assert model.params.tobytes() == theirs[name].params.tobytes(), name
+        assert model.mse == theirs[name].mse, name
