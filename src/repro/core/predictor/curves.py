@@ -79,7 +79,6 @@ def _fminbound(
     while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
         golden = True
         if np.abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
             r = (xf - nfc) * (fx - ffulc)
             q = (xf - fulc) * (fx - fnfc)
             p = (xf - fulc) * q - (xf - nfc) * r
@@ -90,12 +89,11 @@ def _fminbound(
             r = e
             e = rat
             if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
                 rat = (p + 0.0) / q
                 x = xf + rat
                 if (x - a) < tol2 or (b - x) < tol2:
                     rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-            else:
-                golden = True
         if golden:
             e = (a - xf) if xf >= xm else (b - xf)
             rat = golden_mean * e

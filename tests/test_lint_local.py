@@ -311,21 +311,22 @@ def _is_type_checking(test):
     return getattr(test, "id", getattr(test, "attr", None)) == "TYPE_CHECKING"
 
 
-def _import_sites(tree, context="module"):
-    """``(node, context)`` for every import statement in ``tree``:
+def _import_sites(node, context="module"):
+    """``(import node, context)`` for every import statement in ``node``:
     ``context`` is ``"function"`` inside a function body,
     ``"type_checking"`` under ``if TYPE_CHECKING:``, else ``"module"``."""
-    for child in ast.iter_child_nodes(tree):
-        if isinstance(child, (ast.Import, ast.ImportFrom)):
-            yield child, context
-        elif isinstance(child, ast.If) and _is_type_checking(child.test):
-            for node in child.body:
-                yield from _import_sites(ast.Module([node], []), "type_checking")
-            for node in child.orelse:
-                yield from _import_sites(ast.Module([node], []), context)
-        else:
-            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            yield from _import_sites(child, "function" if inner else context)
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        yield node, context
+        return
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        context = "function"
+    if isinstance(node, ast.If) and _is_type_checking(node.test):
+        children = [(child, "type_checking") for child in node.body]
+        children += [(child, context) for child in node.orelse]
+    else:
+        children = [(child, context) for child in ast.iter_child_nodes(node)]
+    for child, inner in children:
+        yield from _import_sites(child, inner)
 
 
 def _imports(name: str, path: Path):
@@ -427,6 +428,10 @@ def layer_violations(root: Path, package: str, layers):
     return sorted(found)
 
 
+def _inside(module: str, package: str) -> bool:
+    return module == package or module.startswith(f"{package}.")
+
+
 def foreign_package_imports(root: Path, package: str):
     """``(package, line, module)`` for every module-level import in a
     package ``__init__`` of a module outside that package.  The root
@@ -435,11 +440,10 @@ def foreign_package_imports(root: Path, package: str):
     for name, path in _module_paths(root, package).items():
         if path.name != "__init__.py":
             continue
-        prefix = None if name == package else f"{name}."
         for module, _names, line, context in _imports(name, path):
-            if context == "module" and module.split(".")[0] == package:
-                if prefix is None or not module.startswith(prefix) and module != name:
-                    found.append((name, line, module))
+            foreign = name == package or not _inside(module, name)
+            if context == "module" and _inside(module, package) and foreign:
+                found.append((name, line, module))
     return sorted(found)
 
 
@@ -449,7 +453,7 @@ def nested_imports(root: Path, package: str):
     found = {}
     for name, path in _module_paths(root, package).items():
         for module, _names, line, context in _imports(name, path):
-            if context == "function" and module.split(".")[0] == package:
+            if context == "function" and _inside(module, package):
                 found.setdefault(name, []).append(line)
     return found
 
