@@ -1,6 +1,6 @@
 # Convenience targets for the Viper reproduction.
 
-.PHONY: install test lint lint-local import-check fuzz chaos bench bench-delta bench-overload bench-e2e bench-pairs examples experiments clean
+.PHONY: install test lint lint-local import-check fuzz chaos bench bench-delta bench-overload bench-e2e bench-pairs request-budget examples experiments clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -81,6 +81,12 @@ N ?= 10
 BASE ?= HEAD
 bench-pairs:
 	python3 benchmarks/pairs.py --workload $(W) --n $(N) --base $(BASE) --seed $(SEED)
+
+# What one serve_steady request costs, step by step (poll, clock, admit,
+# route, each layer's forward, score, account, observe, release), next to
+# the measured request p50; ~10 s.
+request-budget:
+	python3 benchmarks/request_budget.py --seed $(SEED)
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; python $$ex || exit 1; done

@@ -237,7 +237,14 @@ class Subscription:
 
     def drain(self) -> List[Notification]:
         """Fetch everything currently queued (newest model wins logic is
-        the caller's: Viper consumers typically keep only the last one)."""
+        the caller's: Viper consumers typically keep only the last one).
+
+        An empty queue returns at once without taking the lock, the idle
+        serving poll's case: a push racing the check is drained by the
+        next call, as it would be had it landed just after a locked one.
+        """
+        if not self._items:
+            return []
         out: List[Notification] = []
         while True:
             note = self.poll()

@@ -10,16 +10,26 @@ Conventions:
 - Parameters are named ``<layer_name>/<param>`` in the model state dict.
 
 A convolution forward is one strided im2col plus one GEMM: the window
-view is built with ``as_strided`` (the shape and strides
-``sliding_window_view`` would give, without its per-call argument checks),
-transposed and reshaped into one im2col matrix and multiplied with the
-kernel as a ``(K*C, O)`` matrix by one ``np.dot`` -- the arithmetic
-``np.tensordot`` does, minus its overhead, so the outputs are bit-for-bit
-those of ``sliding_window_view`` + ``tensordot``.  The window view is kept
-for ``backward``, whose input-gradient loop runs over the kernel taps only
-(a handful of iterations).  A max-pool forward pays only for the ``max``:
-it keeps the pooled windows and ``backward`` takes their argmax, so an
-inference forward never computes one.
+view has the shape and strides ``sliding_window_view`` would give, built
+by the ``np.ndarray`` constructor over a contiguous input (``as_strided``
+otherwise; both skip the argument checks, the constructor also skips
+``as_strided``'s Python-level wrapping), transposed and reshaped into one
+im2col matrix and multiplied with the kernel as a ``(K*C, O)`` matrix by
+one ``np.dot`` -- the arithmetic ``np.tensordot`` does, minus its
+overhead, so the outputs are bit-for-bit those of ``sliding_window_view``
+and ``tensordot``.  The window view is kept for ``backward``, whose
+input-gradient loop runs over the kernel taps only (a handful of
+iterations).  A max-pool forward pays only for the ``max``: ``backward``
+takes the argmax over the pooled windows, so an inference forward never
+computes one.
+
+Every forward here runs a request at batch 1, where numpy's per-call
+dispatch costs more than the arithmetic, so each kernel makes as few
+calls as gives the same bits: biases are added in place into the fresh
+GEMM output (the parameters of a layer share one dtype), ``ReLU`` is an
+add and an ``fmax``, and ``MaxPool1D`` folds ``np.maximum`` over its pool
+positions.
+Training runs the same forwards.
 """
 
 from __future__ import annotations
@@ -48,6 +58,21 @@ __all__ = [
 ]
 
 _counters = itertools.count(1)
+
+
+def _window_view(x: np.ndarray, shape, strides) -> np.ndarray:
+    """A strided view of ``x`` (no copy), kept by the layer and only read.
+
+    Over a contiguous ``x`` it is the ``np.ndarray`` constructor (a
+    fifth of ``as_strided``'s cost, and every input a model passes
+    between layers is contiguous).  A strided ``x`` keeps ``as_strided``
+    rather than being copied: ``backward``'s weight-gradient sum follows
+    the view's strides, so a window view of a C-order copy can give a
+    gradient an ulp away from that of the input as given.
+    """
+    if x.flags.c_contiguous:
+        return np.ndarray(shape, x.dtype, buffer=x, strides=strides)
+    return as_strided(x, shape, strides, writeable=False)
 
 
 class Layer:
@@ -111,7 +136,9 @@ class Dense(Layer):
 
     def forward(self, x, training=False):
         self._x = x
-        return x @ self.params["W"] + self.params["b"]
+        y = x @ self.params["W"]
+        y += self.params["b"]
+        return y
 
     def backward(self, dout):
         x = self._x
@@ -177,17 +204,16 @@ class Conv1D(Layer):
             raise ValueError(f"{self.name}: input length {length} < kernel {k}")
         s_n, s_l, s_c = x.strides
         # windows[n, i, c, t] = x[n, i + t, c]: an (N, L_out, C, K)
-        # read-only strided view, no copy.
-        windows = as_strided(
-            x, (n, l_out, c, k), (s_n, s_l, s_c, s_l), writeable=False
-        )
+        # strided view, no copy.
+        windows = _window_view(x, (n, l_out, c, k), (s_n, s_l, s_c, s_l))
         self._windows = windows
         # y[n, i, o] = sum_{t,c} windows[n, i, c, t] * W[t, c, o]: im2col
         # rows (n, i) by columns (t, c), then one GEMM.
         w = self.params["W"]
         cols = windows.transpose(0, 1, 3, 2).reshape(n * l_out, k * c)
         y = np.dot(cols, w.reshape(k * c, self.filters))
-        return y.reshape(n, l_out, self.filters) + self.params["b"]
+        y += self.params["b"]
+        return y.reshape(n, l_out, self.filters)
 
     def backward(self, dout):
         windows = self._windows
@@ -264,12 +290,9 @@ class Conv2D(Layer):
             raise ValueError(f"{self.name}: input {h}x{w_in} < kernel {k}x{k}")
         s_n, s_h, s_w, s_c = x.strides
         # windows[n, i, j, c, p, q] = x[n, i + p, j + q, c]: an
-        # (N, H_out, W_out, C, K, K) read-only strided view.
-        windows = as_strided(
-            x,
-            (n, h_out, w_out, c, k, k),
-            (s_n, s_h, s_w, s_c, s_h, s_w),
-            writeable=False,
+        # (N, H_out, W_out, C, K, K) strided view.
+        windows = _window_view(
+            x, (n, h_out, w_out, c, k, k), (s_n, s_h, s_w, s_c, s_h, s_w)
         )
         self._windows = windows
         # y[n,i,j,o] = sum_{p,q,c} win[n,i,j,c,p,q] * W[p,q,c,o]: im2col
@@ -279,7 +302,8 @@ class Conv2D(Layer):
             n * h_out * w_out, k * k * c
         )
         y = np.dot(cols, w.reshape(k * k * c, self.filters))
-        return y.reshape(n, h_out, w_out, self.filters) + self.params["b"]
+        y += self.params["b"]
+        return y.reshape(n, h_out, w_out, self.filters)
 
     def backward(self, dout):
         windows = self._windows
@@ -311,8 +335,7 @@ class MaxPool1D(Layer):
         if pool_size <= 0:
             raise ConfigurationError(f"{self.name}: pool_size must be positive")
         self.pool_size = pool_size
-        self._windows: Optional[np.ndarray] = None
-        self._in_shape: Tuple[int, ...] = ()
+        self._x: Optional[np.ndarray] = None
 
     def output_shape(self, input_shape):
         length, channels = input_shape
@@ -321,20 +344,31 @@ class MaxPool1D(Layer):
     def forward(self, x, training=False):
         p = self.pool_size
         n, length, c = x.shape
-        l_out = length // p
-        self._in_shape = x.shape
-        view = x[:, : l_out * p, :].reshape(n, l_out, p, c)
-        self._windows = view
-        return view.max(axis=2)
+        m = length // p * p
+        self._x = x
+        if p == 1 or c == 1 or not x.flags.c_contiguous:
+            return x[:, :m, :].reshape(n, m // p, p, c).max(axis=2)
+        # Channels innermost: the reduce runs np.maximum over the p pool
+        # positions in index order, one channel row at a time.  Folding
+        # it that way over the strided slices gives its bits, NaN
+        # payloads included, without its setup cost.  (With one channel,
+        # or another layout, the reduce may run its own inner loop, which
+        # can return a different NaN.)
+        out = np.maximum(x[:, 0:m:p], x[:, 1:m:p])
+        for j in range(2, p):
+            np.maximum(out, x[:, j:m:p], out=out)
+        return out
 
     def backward(self, dout):
         p = self.pool_size
         n, l_out, c = dout.shape
-        dx = np.zeros(self._in_shape, dtype=dout.dtype)
+        x = self._x
+        windows = x[:, : l_out * p, :].reshape(n, l_out, p, c)
+        dx = np.zeros(x.shape, dtype=dout.dtype)
         # Scatter via absolute indices: a reshape of the truncated slice
         # would copy (non-contiguous) and silently drop the gradients.
         ni, li, ci = np.ogrid[:n, :l_out, :c]
-        dx[ni, li * p + self._windows.argmax(axis=2), ci] = dout
+        dx[ni, li * p + windows.argmax(axis=2), ci] = dout
         return dx
 
 
@@ -446,15 +480,24 @@ class Dropout(Layer):
 
 
 class ReLU(Layer):
-    """Rectified linear unit: ``max(x, 0)`` elementwise."""
+    """Rectified linear unit: ``max(x, 0)`` elementwise.
+
+    The forward is ``where(x > 0, x, 0.0)`` bit for bit -- +0.0 for NaN
+    and for either zero -- in two cheaper calls: ``x + 0.0`` quiets a
+    signaling NaN (which ``fmax``'s scalar tail loop would pass through,
+    unlike its vector loop) and turns -0.0 into +0.0, then ``fmax(y, 0.0)``
+    drops every NaN.  The operand order matters: ``fmax(0.0, x)`` gives
+    -0.0 for x = -0.0, and ``maximum`` keeps NaN.
+    """
 
     def __init__(self, name: Optional[str] = None):
         super().__init__(name)
-        self._mask: Optional[np.ndarray] = None
+        self._x: Optional[np.ndarray] = None
 
     def forward(self, x, training=False):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._x = x
+        y = x + 0.0
+        return np.fmax(y, 0.0, out=y)
 
     def backward(self, dout):
-        return dout * self._mask
+        return dout * (self._x > 0)

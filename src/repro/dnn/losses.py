@@ -14,6 +14,9 @@ from repro.errors import ConfigurationError
 
 __all__ = ["Loss", "CrossEntropyLoss", "MSELoss", "MAELoss"]
 
+#: Keeps ``log`` finite where a softmax probability underflows to 0.
+_EPS = 1e-12
+
 
 class Loss:
     """Base contract: ``forward`` returns a scalar; ``backward`` the grad."""
@@ -55,11 +58,36 @@ class CrossEntropyLoss(Loss):
         return out
 
     def forward(self, pred, target):
+        target = np.asarray(target)
+        n = pred.shape[0]
+        if pred.ndim == 2 and target.shape == (n,) and n:
+            loss = self._gathered(pred, target)
+            if loss == loss:
+                return loss
+            # A NaN loss: which NaN (sign, payload) the one-hot sum below
+            # carries depends on the whole row, so it decides.
         probs = softmax(pred.astype(np.float64))
-        onehot = self._onehot(np.asarray(target), pred.shape[-1])
-        eps = 1e-12
-        per_sample = -(onehot * np.log(probs + eps)).sum(axis=-1)
+        onehot = self._onehot(target, pred.shape[-1])
+        per_sample = -(onehot * np.log(probs + _EPS)).sum(axis=-1)
         return float(per_sample.mean())
+
+    @staticmethod
+    def _gathered(pred: np.ndarray, labels: np.ndarray) -> float:
+        """The mean cross-entropy over one label per row, gathering each
+        row's target probability instead of summing a one-hot product.
+
+        A one-hot row sum adds only zeros (0 * log(p)) to the one term,
+        and negating before or after a sum rounds alike, so a finite
+        value is the one-hot formula's bit for bit; the softmax and the
+        mean are spelled as the reductions they run.  Indexing with the
+        row numbers keeps an out-of-range label the IndexError it was
+        (and a negative one wrapping, as it did).
+        """
+        z = pred.astype(np.float64)
+        e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+        rows = np.arange(pred.shape[0])
+        picked = e[rows, labels.astype(int, copy=False)] / np.add.reduce(e, axis=-1)
+        return float(-np.add.reduce(np.log(picked + _EPS)) / pred.shape[0])
 
     def backward(self, pred, target):
         probs = softmax(pred.astype(np.float64))

@@ -53,6 +53,10 @@ class TokenBucket:
       nothing (monotone under time-reversal-free clocks);
     - a denied acquire never mutates state, so deny-then-retry at the
       same instant stays denied.
+
+    ``lock`` guards the bucket.  :meth:`acquire_locked` is the take for a
+    caller that already holds it (the admission controller guards its
+    own counters with the same lock, so one admit takes one lock).
     """
 
     def __init__(self, rate: float, burst: float):
@@ -62,7 +66,7 @@ class TokenBucket:
             raise ConfigurationError("token bucket burst must be >= 1")
         self.rate = float(rate)
         self.burst = float(burst)
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()
         self._tokens = float(burst)
         self._last: Optional[float] = None
 
@@ -78,22 +82,26 @@ class TokenBucket:
 
     def available(self, now: float) -> float:
         """Tokens on hand at ``now`` (refilled but not consumed)."""
-        with self._lock:
+        with self.lock:
             self._refill_locked(float(now))
             return self._tokens
 
     def try_acquire(self, now: float, tokens: float = 1.0) -> bool:
         """Take ``tokens`` if on hand; a denial changes nothing."""
-        with self._lock:
-            self._refill_locked(float(now))
-            if self._tokens + 1e-12 < tokens:
-                return False
-            self._tokens -= tokens
-            return True
+        with self.lock:
+            return self.acquire_locked(float(now), tokens)
+
+    def acquire_locked(self, now: float, tokens: float) -> bool:
+        """:meth:`try_acquire` for a caller that holds ``lock``."""
+        self._refill_locked(now)
+        if self._tokens + 1e-12 < tokens:
+            return False
+        self._tokens -= tokens
+        return True
 
     def retry_after(self, now: float, tokens: float = 1.0) -> float:
         """Seconds until ``tokens`` will be on hand at the refill rate."""
-        with self._lock:
+        with self.lock:
             self._refill_locked(float(now))
             deficit = tokens - self._tokens
         if deficit <= 0:
@@ -151,7 +159,9 @@ class AdmissionController:
         self.stats = stats
         self.name = name
         self.bucket = TokenBucket(self.config.rate, self.config.burst)
-        self._lock = threading.Lock()
+        # The bucket's lock guards the counters too, so that an admit
+        # takes one lock for its token and its slot.
+        self._lock = self.bucket.lock
         self._inflight = 0
         self.admitted = 0
         self.shed: Dict[str, int] = {"deadline": 0, "rate": 0, "concurrency": 0}
@@ -222,26 +232,23 @@ class AdmissionController:
         if resolved is not None and now + float(service_time) > resolved:
             # Dead on arrival: shed before any token or slot is consumed.
             raise self._shed("deadline", now, 0.0, resolved)
-        if not self.bucket.try_acquire(now):
+        limit = self.config.max_inflight
+        with self._lock:
+            took = self.bucket.acquire_locked(now, 1.0)
+            # The token is taken before the slot is checked: a
+            # concurrency shed still spends it.
+            slot_free = took and not (limit and self._inflight >= limit)
+            if slot_free:
+                self._inflight += 1
+                self.admitted += 1
+        if not took:
             raise self._shed(
                 "rate", now, self.bucket.retry_after(now), resolved
             )
-        slot_free = True
-        if self.config.max_inflight:
-            with self._lock:
-                if self._inflight >= self.config.max_inflight:
-                    slot_free = False
-                else:
-                    self._inflight += 1
-        else:
-            with self._lock:
-                self._inflight += 1
         if not slot_free:
             raise self._shed(
                 "concurrency", now, max(float(service_time), 0.0), resolved
             )
-        with self._lock:
-            self.admitted += 1
         return resolved
 
     def release(self) -> None:

@@ -34,6 +34,7 @@ health gate, and promoted or quarantined by the server's
 from __future__ import annotations
 
 import collections
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -291,8 +292,11 @@ class InferenceServer:
 
     def _advance_watermark(self) -> None:
         """Track the newest published version for legacy stale-serve
-        accounting.  Advances unconditionally — the watermark must not
-        depend on whether a metrics registry is armed."""
+        accounting.  :meth:`handle` reads it only while no freshness
+        tracker is armed, so only then does a poll pay the metadata
+        read; it does not depend on whether a metrics registry is armed."""
+        if self.freshness.enabled:
+            return
         record, _ = self.consumer.viper.metadata.latest(self.model_name)
         if record is not None and record.version > self._latest_known:
             self._latest_known = record.version
@@ -373,23 +377,20 @@ class InferenceServer:
         scoring work.  ``arrival`` advances the serving clock to the
         request's arrival instant first (see :meth:`advance_clock`).
         """
-        if arrival is not None:
-            self.advance_clock(arrival)
-        admitted = False
-        if self.admission is not None:
+        now = self.advance_clock(arrival) if arrival is not None else None
+        admission = self.admission
+        if admission is None:
+            return self._handle_admitted(x, y_true)
+        if now is None:
             with self._lock:
                 now = self._sim_time
-            # Raises OverloadError on shed; the shed is counted by the
-            # controller before the request touches the model.
-            self.admission.admit(
-                now, deadline=deadline, service_time=self.t_infer
-            )
-            admitted = True
+        # Raises OverloadError on shed; the shed is counted by the
+        # controller before the request touches the model.
+        admission.admit(now, deadline=deadline, service_time=self.t_infer)
         try:
             return self._handle_admitted(x, y_true)
         finally:
-            if admitted:
-                self.admission.release()
+            admission.release()
 
     def _handle_admitted(
         self,
@@ -406,29 +407,42 @@ class InferenceServer:
         loss = float("nan")
         if y_true is not None and self.loss_fn is not None:
             loss = self.loss_fn.forward(pred, y_true)
-        self._m_requests.inc()
         wall = time.perf_counter() - wall_start
+        req = self._account(snapshot.version, loss, wall)
+        self._observe(snapshot.version, canary is not None, pred, loss, wall, req)
+        return pred, req
+
+    def _account(self, version: int, loss: float, wall: float) -> ServedRequest:
+        """Count one served request: metrics, the request log and the
+        running aggregates, and one service time on the serving clock."""
+        self._m_requests.inc()
         self._m_latency.observe(wall)
         with self._lock:
             self._sim_time += self.t_infer
             req = ServedRequest(
                 request_id=self._next_id,
-                model_version=snapshot.version,
+                model_version=version,
                 loss=loss,
                 sim_time=self._sim_time,
             )
             self._next_id += 1
             self.requests.append(req)
-            if not np.isnan(loss):
+            if not math.isnan(loss):
                 self._cum_loss += loss
                 self._scored_requests += 1
-            self._per_version[snapshot.version] = (
-                self._per_version.get(snapshot.version, 0) + 1
-            )
+            self._per_version[version] = self._per_version.get(version, 0) + 1
+        return req
+
+    def _observe(
+        self, version: int, canary: bool, pred: np.ndarray, loss: float,
+        wall: float, req: ServedRequest,
+    ) -> None:
+        """Hand one served request to the health gate, the staleness
+        accounting and the lineage ledger."""
         if self.rollout is not None:
             # Health evidence: the gate scores the arm that served this
             # request; a canary rollback can fire right here.
-            if canary is not None:
+            if canary:
                 self.rollout.observe_canary(pred, loss, wall, req.sim_time)
             else:
                 self.rollout.observe_primary(loss, wall)
@@ -437,22 +451,21 @@ class InferenceServer:
         # legacy metadata-poll watermark applies.
         if self.freshness.enabled:
             stale = self.freshness.record_serve(
-                self.name, self.model_name, snapshot.version, req.sim_time
+                self.name, self.model_name, version, req.sim_time
             )
         else:
-            stale = snapshot.version < self._latest_known
+            stale = version < self._latest_known
         if stale:
             self._m_stale.inc()
-        if self.lineage.enabled and snapshot.version not in self._first_served:
-            self._first_served.add(snapshot.version)
+        if self.lineage.enabled and version not in self._first_served:
+            self._first_served.add(version)
             self.lineage.record_once(
-                self._trace_header(snapshot.version),
+                self._trace_header(version),
                 "first_serve",
                 sim_time=req.sim_time,
                 actor=self.name,
                 request_id=req.request_id,
             )
-        return pred, req
 
     def _trace_header(self, version: int) -> str:
         """The lineage header of ``version`` (empty when unknown)."""

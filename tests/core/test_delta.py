@@ -5,6 +5,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ConfigurationError,
@@ -439,16 +441,6 @@ class TestDeltaManager:
 # ---------------------------------------------------------------------------
 # Property tests: reconstruct(base, recipe) == original, for any mutation.
 # ---------------------------------------------------------------------------
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - hypothesis is in the image
-    HAVE_HYPOTHESIS = False
-
-
-@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
 class TestDeltaProperties:
     @given(
         n=st.integers(1, 6),

@@ -1,6 +1,8 @@
 """Notification broker tests: pub/sub semantics and latency stamps."""
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -129,6 +131,32 @@ class TestSubscription:
         publish(broker, 4)
         t.join(2.0)
         assert got == [4]
+
+
+    def test_drain_racing_pushes_loses_none(self):
+        # drain() skips the lock on an empty queue: a push racing that
+        # check is picked up by a later drain, never lost or repeated.
+        broker = NotificationBroker()
+        sub = broker.subscribe("t")
+        got = []
+
+        def drainer():
+            stop = time.monotonic() + 30
+            while len(got) < 2000 and time.monotonic() < stop:
+                got.extend(note.version for note in sub.drain())
+
+        t = threading.Thread(target=drainer)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t.start()
+            for version in range(1, 2001):
+                publish(broker, version)
+            t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not t.is_alive()
+        assert got == list(range(1, 2001))
 
 
 class TestLifecycle:

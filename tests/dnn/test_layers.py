@@ -1,9 +1,12 @@
 """Layer forward/backward correctness, including numerical grad checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ConfigurationError
@@ -18,6 +21,7 @@ from repro.dnn.layers import (
     ReLU,
     UpSampling2D,
 )
+from repro.dnn.losses import CrossEntropyLoss, softmax
 from tests.dnn.gradcheck import check_layer_input_grad, check_layer_param_grads
 
 RNG = np.random.default_rng(42)
@@ -256,9 +260,11 @@ class TestShapeAndStateless:
         assert ReLU().name != ReLU().name
 
 
-# -- Differential: the strided im2col convolutions and the argmax-free
-# pools against the sliding_window_view + tensordot forwards and the
-# argmax-storing pools they replaced, kept below as test-only oracles.
+# -- Differential: the strided im2col convolutions, the argmax-free and
+# folded pools, the in-place bias adds, the fmax ReLU and the gathered
+# cross-entropy against the sliding_window_view + tensordot forwards, the
+# argmax-storing reduce-based pools, ``x @ W + b``, the where-ReLU and the
+# one-hot cross-entropy they replaced, kept below as test-only oracles.
 # Training runs the same forwards, so every output bit must match.
 
 
@@ -308,6 +314,30 @@ class RefMaxPool1D(MaxPool1D):
         ni, li, ci = np.ogrid[:n, :l_out, :c]
         dx[ni, li * p + self._argmax, ci] = dout
         return dx
+
+
+class RefReLU(ReLU):
+    def forward(self, x, training=False):
+        self._mask = x > 0
+        return np.where(self._mask, x, 0.0)
+
+    def backward(self, dout):
+        return dout * self._mask
+
+
+class RefDense(Dense):
+    def forward(self, x, training=False):
+        self._x = x
+        return x @ self.params["W"] + self.params["b"]
+
+
+class RefCrossEntropy(CrossEntropyLoss):
+    def forward(self, pred, target):
+        probs = softmax(pred.astype(np.float64))
+        onehot = self._onehot(np.asarray(target), pred.shape[-1])
+        eps = 1e-12
+        per_sample = -(onehot * np.log(probs + eps)).sum(axis=-1)
+        return float(per_sample.mean())
 
 
 class RefMaxPool2D(MaxPool2D):
@@ -433,3 +463,151 @@ class TestAgainstTheReplacedForwards:
         for row in range(len(x)):
             sample = x[row : row + 1]
             assert_same_bits(model.predict(sample), ref.predict(sample))
+
+
+#: float32 bit patterns the kernels must carry exactly: both zeros, both
+#: infinities, quiet NaNs of either sign and with a payload, signaling
+#: NaNs, the extreme subnormals, and ordinary values.
+SPECIAL_BITS = [
+    0x00000000, 0x80000000, 0x7F800000, 0xFF800000,
+    0x7FC00000, 0xFFC00000, 0x7FC00001, 0x7F800001, 0xFF812345,
+    0x00000001, 0x807FFFFF, 0x3F800000, 0xBF800000, 0x40490FDB,
+]
+
+
+@st.composite
+def special_input(draw, ndim, lo, channels=(1, 2, 3, 16, 17)):
+    """A float32 ``(N, *spatial, C)`` input, N from 0 to 3, drawn bit
+    pattern by bit pattern (any of the SPECIAL_BITS, ordinary values, or
+    any 32 bits at all): contiguous, or every other position of a larger
+    array from a channel offset."""
+    n = draw(st.integers(0, 3))
+    spatial = tuple(draw(st.integers(lo, lo + 3)) for _ in range(ndim))
+    c = draw(st.sampled_from(channels))
+    sliced = draw(st.booleans())
+    step = 2 if sliced else 1
+    shape = (n, *(step * s for s in spatial), c + sliced)
+    normal = st.floats(-4, 4, width=32).map(
+        lambda v: int(np.float32(v).view(np.uint32))
+    )
+    elements = st.sampled_from(SPECIAL_BITS) | normal | st.integers(0, 2**32 - 1)
+    x = draw(arrays(np.uint32, shape, elements=elements)).view(np.float32)
+    if not sliced:
+        return x
+    return x[(slice(None),) + (slice(None, None, 2),) * ndim + (slice(1, None),)]
+
+
+def assert_same_loss(got, want):
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+class TestAgainstTheReplacedKernelsOnSpecialValues:
+    """NaN, signed zeros, infinities and subnormals, batches of 0, 1 and
+    more, contiguous and strided inputs: bit for bit against the oracles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 1), st.data())
+    def test_relu(self, ndim, data):
+        x = data.draw(special_input(ndim, 1))
+        assert_layers_agree(ReLU(), RefReLU(), x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_dense(self, units, data):
+        x = data.draw(special_input(0, 1, channels=(1, 3, 16)))
+        layer = build(Dense(units), x.shape[1:])
+        ref = build(RefDense(units), x.shape[1:])
+        assert_layers_agree(layer, ref, x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from(["valid", "same"]), st.data())
+    def test_conv1d(self, k, padding, data):
+        if padding == "same" and k % 2 == 0:
+            k -= 1
+        x = data.draw(special_input(1, 1 if padding == "same" else k))
+        layer = build(Conv1D(3, k, padding=padding), x.shape[1:])
+        ref = build(RefConv1D(3, k, padding=padding), x.shape[1:])
+        assert_layers_agree(layer, ref, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 3]), st.sampled_from(["valid", "same"]), st.data())
+    def test_conv2d(self, k, padding, data):
+        x = data.draw(special_input(2, k, channels=(1, 2, 3)))
+        layer = build(Conv2D(2, k, padding=padding), x.shape[1:])
+        ref = build(RefConv2D(2, k, padding=padding), x.shape[1:])
+        assert_layers_agree(layer, ref, x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    def test_maxpool1d(self, p, data):
+        x = data.draw(special_input(1, p))
+        assert_layers_agree(MaxPool1D(p), RefMaxPool1D(p), x)
+
+    @pytest.mark.parametrize("c", [1, 2, 17])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_maxpool1d_every_window_of_special_values(self, p, c):
+        # Every ordered p-tuple of SPECIAL_BITS is one pooling window,
+        # each channel holding them in another order: which NaN survives
+        # (sign and payload) must match too, contiguous and strided.
+        windows = np.array(list(itertools.product(SPECIAL_BITS, repeat=p)),
+                           dtype=np.uint32).ravel()
+        x = np.stack([np.roll(windows, j * p) for j in range(c)], axis=-1)
+        x = x[None].view(np.float32)
+        assert_layers_agree(MaxPool1D(p), RefMaxPool1D(p), x)
+        assert_layers_agree(MaxPool1D(p), RefMaxPool1D(p), x[:, :, ::-1])
+
+    def test_relu_every_special_value_at_every_length(self):
+        # Lengths 1..40 put each value both in a vector loop and in the
+        # scalar tail loop of the elementwise kernels.
+        for n in range(1, 41):
+            x = np.resize(np.array(SPECIAL_BITS, dtype=np.uint32), (1, n))
+            assert_layers_agree(ReLU(), RefReLU(), x.view(np.float32))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 20), st.data())
+    def test_cross_entropy(self, k, data):
+        logits = data.draw(special_input(0, 1, channels=(k,)))
+        n = logits.shape[0]
+        labels = data.draw(arrays(np.int64, (n,), elements=st.integers(-k, k - 1)))
+        new, ref = CrossEntropyLoss(), RefCrossEntropy()
+        assert_same_loss(new.forward(logits, labels), ref.forward(logits, labels))
+        # float labels truncate alike
+        assert_same_loss(new.forward(logits, labels + 0.25),
+                         ref.forward(logits, labels + 0.25))
+        if n:
+            bad = labels.copy()
+            bad[data.draw(st.integers(0, n - 1))] = data.draw(
+                st.sampled_from([k, k + 3, -k - 1])
+            )
+            with pytest.raises(IndexError):
+                ref.forward(logits, bad)
+            with pytest.raises(IndexError):
+                new.forward(logits, bad)
+
+    def test_cross_entropy_broadcast_and_onehot_targets(self):
+        logits = RNG.standard_normal((3, 5)).astype(np.float32)
+        new, ref = CrossEntropyLoss(), RefCrossEntropy()
+        for target in (np.array([2]), np.eye(5)[[0, 4, 1]], np.eye(5)[[3]]):
+            assert_same_loss(new.forward(logits, target), ref.forward(logits, target))
+
+    def test_tc1_train_batch(self):
+        # Several SGD steps of tc1 (dropout on, momentum carried) through
+        # the rewritten kernels and through a replica built from the
+        # oracles: the same loss, gradients and weights after every step.
+        from repro.apps.registry import TC1
+
+        x_train, y_train = TC1.dataset(scale=0.05, seed=0)[:2]
+        model, ref = TC1.build_model(), TC1.build_model()
+        oracles = {Conv1D: RefConv1D, MaxPool1D: RefMaxPool1D, ReLU: RefReLU,
+                   Dense: RefDense}
+        for layer in ref.layers:
+            layer.__class__ = oracles.get(type(layer), type(layer))
+        ref.loss.__class__ = RefCrossEntropy
+        for step in range(4):
+            batch = slice(16 * step, 16 * step + 16)
+            assert_same_loss(model.train_batch(x_train[batch], y_train[batch]),
+                             ref.train_batch(x_train[batch], y_train[batch]))
+            for layer, twin in zip(model.layers, ref.layers):
+                for pname in layer.params:
+                    assert_same_bits(layer.params[pname], twin.params[pname])
+                    assert_same_bits(layer.grads[pname], twin.grads[pname])

@@ -5,6 +5,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import IntegrityError, StorageError
 from repro.dnn.serialization import (
@@ -271,16 +273,6 @@ class TestGarbledTensorLength:
             serializer.loads(bad)
 
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - hypothesis is in the image
-    HAVE_HYPOTHESIS = False
-
-
-@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
 class TestCRC32Combine:
     @given(a=st.binary(max_size=300), b=st.binary(max_size=300))
     @settings(max_examples=200, deadline=None)
@@ -307,7 +299,6 @@ class TestCRC32Combine:
 
 # The serializers are stateless, so hypothesis drives the classes directly
 # (its health check forbids mixing @given with function-scoped fixtures).
-@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
 @pytest.mark.parametrize(
     "serializer_cls", [ViperSerializer, H5LikeSerializer], ids=["viper", "h5py"]
 )

@@ -4,6 +4,8 @@ import math
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ViperError
 from repro.obs.metrics import (
@@ -187,15 +189,6 @@ class TestNullRegistry:
         assert inst.value == 0.0
 
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - hypothesis is in the image
-    HAVE_HYPOTHESIS = False
-
-
 def reference_quantile(samples, q):
     """Inverse empirical CDF over the sorted raw samples.
 
@@ -209,7 +202,6 @@ def reference_quantile(samples, q):
     return ordered[idx]
 
 
-@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
 class TestQuantileProperties:
     """The bucketed estimate vs a sorted-sample reference.
 

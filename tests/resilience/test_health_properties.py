@@ -13,21 +13,11 @@ Two components whose invariants everything else leans on:
 from __future__ import annotations
 
 import pytest
-
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - hypothesis is in the image
-    HAVE_HYPOTHESIS = False
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.resilience.health import LeaseRegistry
 from repro.serving.admission import TokenBucket
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_HYPOTHESIS, reason="hypothesis not installed"
-)
 
 # Clock instants: non-negative, finite, coarse enough that float error
 # cannot blur the rate bound being asserted.

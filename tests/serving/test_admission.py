@@ -10,6 +10,8 @@ requests are untouched by the machinery.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -115,6 +117,39 @@ class TestAdmissionController:
         ctrl.admit(0.0)                      # slot freed: admitted again
         assert ctrl.admitted == 2
         assert ctrl.shed_total == 1
+
+    def test_concurrent_admits_lose_no_slot(self):
+        # The token, the slot and the counters share one lock: with more
+        # threads than cores and a short switch interval, every attempt
+        # is admitted or shed exactly once, the cap holds, and every
+        # released slot comes back.
+        ctrl = self.make(rate=1e9, burst=1e9, max_inflight=3)
+        seen = []
+
+        def worker():
+            for _ in range(1000):
+                try:
+                    ctrl.admit(0.0)
+                except OverloadError:
+                    continue
+                seen.append(ctrl.inflight)
+                ctrl.release()
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        snap = ctrl.snapshot()
+        assert snap["admitted"] + snap["concurrency"] == 8 * 1000
+        assert snap["admitted"] == len(seen) and max(seen) <= 3
+        assert snap["inflight"] == 0
 
     def test_default_budget_resolves_deadlines(self):
         ctrl = self.make(rate=100.0, burst=10.0, default_budget=0.5)

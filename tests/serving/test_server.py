@@ -9,6 +9,8 @@ from repro.dnn.layers import Dense
 from repro.dnn.losses import MSELoss
 from repro.dnn.models import Sequential
 from repro.dnn.optimizers import SGD
+from repro.obs.freshness import FreshnessTracker
+from repro.rollout.policy import RolloutPolicy
 from repro.serving.server import InferenceServer
 
 
@@ -182,6 +184,35 @@ class TestWatermarkWithoutMetrics:
         assert not server.poll_updates()
         assert consumer.current_version == 0
         assert server._latest_known == 1
+        viper.close()
+
+
+class TestIdlePollWithFreshness:
+    @pytest.mark.parametrize("rollout", [None, RolloutPolicy()], ids=["plain", "rollout"])
+    def test_idle_polls_read_no_metadata(self, rollout, monkeypatch):
+        # An armed freshness tracker decides staleness, so the legacy
+        # watermark is never read and an idle push-mode poll has no
+        # reason to ask the metadata store for "latest".  The lease
+        # heartbeat still goes out on every poll.
+        viper = Viper(freshness=FreshnessTracker(), lease_ttl=60.0)
+        consumer = viper.consumer(model_builder=builder)
+        consumer.subscribe()
+        server = InferenceServer(
+            consumer, "m", t_infer=0.01, staleness_deadline=10.0, rollout=rollout
+        )
+        publish_weights(viper, 2.0)
+        server.poll_updates()  # consumes the notification
+        calls = []
+        latest = viper.metadata.latest
+        monkeypatch.setattr(
+            viper.metadata, "latest",
+            lambda *args: calls.append(args) or latest(*args),
+        )
+        beats = viper.broker.health.lease(consumer.name).beats
+        for _ in range(25):
+            assert not server.poll_updates()
+        assert calls == []
+        assert viper.broker.health.lease(consumer.name).beats == beats + 25
         viper.close()
 
 
